@@ -31,7 +31,7 @@ import numpy as np
 
 
 class MatrixInvariantViolation(ValueError):
-    """Distance matrix is not symmetric nonnegative with a zero diagonal."""
+    """Distance matrix is not symmetric, finite and nonnegative with a zero diagonal."""
 
 
 class NegativeRtt(ValueError):
@@ -43,7 +43,7 @@ class NewickError(ValueError):
 
 
 class DistanceMatrix:
-    """Symmetric nonnegative distances over uniquely labeled nodes."""
+    """Symmetric finite nonnegative distances over uniquely labeled nodes."""
 
     def __init__(self, labels: Iterable[str], values) -> None:
         self.labels = tuple(labels)
@@ -57,6 +57,9 @@ class DistanceMatrix:
             raise MatrixInvariantViolation(
                 f"matrix shape {self.values.shape} does not match {n} labels"
             )
+        if not np.all(np.isfinite(self.values)):
+            # an infinite distance turns join criteria into NaN, which no pair minimizes
+            raise MatrixInvariantViolation("distances must be finite")
         if np.any(np.diagonal(self.values) != 0):
             raise MatrixInvariantViolation("diagonal must be zero")
         if not np.array_equal(self.values, self.values.T):
@@ -147,12 +150,17 @@ class PhyloTree:
         return out
 
     def leaf_distances(self) -> DistanceMatrix:
-        """Pairwise path lengths between leaves, labels sorted."""
+        """Pairwise path lengths between leaves, labels sorted.
+
+        Each pair is walked once, from its earlier leaf, and written to
+        both cells: summing the path from the other end can differ in the
+        last bit, and the matrix must be exactly symmetric.
+        """
         by_label = sorted((self.labels[n], n) for n in self.leaf_ids)
         labels = [lbl for lbl, _ in by_label]
         n = len(labels)
         values = np.zeros((n, n))
-        for row, (_, start) in enumerate(by_label):
+        for row, (_, start) in enumerate(by_label[:-1]):
             dist = {start: 0.0}
             stack = [start]
             while stack:
@@ -161,8 +169,8 @@ class PhyloTree:
                     if nxt not in dist:
                         dist[nxt] = dist[cur] + length
                         stack.append(nxt)
-            for col, (_, leaf) in enumerate(by_label):
-                values[row, col] = dist[leaf]
+            for col in range(row + 1, n):
+                values[row, col] = values[col, row] = dist[by_label[col][1]]
         return DistanceMatrix(labels, values)
 
 
@@ -180,9 +188,19 @@ def _clamped_pair(b_i: float, b_j: float) -> tuple[float, float]:
 def nj_build(dm: DistanceMatrix) -> PhyloTree:
     """Neighbor-Joining over a distance matrix.
 
-    Ties on the join criterion go to the pair whose nodes were created
-    first (input label order, then join order), making the output
-    deterministic for any input.
+    Each round evaluates the join criterion for every pair at once, as
+    one array over the active nodes, and joins a pair attaining its
+    minimum.  Exact ties go to the pair whose nodes were created first
+    (input label order, then join order; the pair's smaller creation
+    rank decides, then its larger), making the output deterministic for
+    any input.
+
+    After a join the second node's row and column are deleted with the
+    others kept in order, and the net divergences are summed afresh, so
+    every float is bit-identical to evaluating the pairs one at a time.
+    That matters: on a star matrix every pair ties in exact arithmetic
+    and the last bit picks the join, so swapping the last row into the
+    gap or updating the sums incrementally would change the tree.
     """
     tree = PhyloTree()
     ids = [tree.add_node(label) for label in dm.labels]
@@ -193,22 +211,20 @@ def nj_build(dm: DistanceMatrix) -> PhyloTree:
 
     d = dm.values.astype(float).copy()
     nodes = list(ids)
-    order = list(range(n))  # creation rank, for deterministic tie-breaks
+    order = np.arange(n)  # creation rank, for deterministic tie-breaks
     next_rank = n
 
     while len(nodes) > 3:
         m = len(nodes)
         u = d.sum(axis=0)
-        best = None
-        best_m = None
-        best_rank = None
-        for i in range(m):
-            for j in range(i + 1, m):
-                mij = d[i, j] - (u[i] + u[j]) / (m - 2)
-                rank = tuple(sorted((order[i], order[j])))
-                if best is None or mij < best_m or (mij == best_m and rank < best_rank):
-                    best, best_m, best_rank = (i, j), mij, rank
-        i, j = best
+        q = d - (u[:, None] + u) / (m - 2)
+        np.fill_diagonal(q, np.inf)
+        rows, cols = np.nonzero(q == q.min())
+        upper = rows < cols  # q is symmetric: take each pair once, as i < j
+        rows, cols = rows[upper], cols[upper]
+        rank_i, rank_j = order[rows], order[cols]
+        pick = np.lexsort((np.maximum(rank_i, rank_j), np.minimum(rank_i, rank_j)))[0]
+        i, j = int(rows[pick]), int(cols[pick])
         b_i = 0.5 * d[i, j] + (u[i] - u[j]) / (2 * (m - 2))
         b_i, b_j = _clamped_pair(b_i, d[i, j] - b_i)
         joined = tree.add_node()
@@ -224,7 +240,7 @@ def nj_build(dm: DistanceMatrix) -> PhyloTree:
         next_rank += 1
         d = np.delete(np.delete(d, j, axis=0), j, axis=1)
         del nodes[j]
-        del order[j]
+        order = np.delete(order, j)
 
     # last three meet at one center (three-point branch lengths)
     center = tree.add_node()
@@ -240,32 +256,11 @@ def _format_length(x: float) -> str:
     return format(x, "g")
 
 
-def _render_from(tree: PhyloTree, root: int) -> str:
-    def rec(node: int, parent: int) -> tuple[str, str]:
-        children = [
-            (peer, length)
-            for peer, length in tree._adj[node].items()
-            if peer != parent
-        ]
-        if not children:
-            label = tree.labels[node]
-            return label, label
-        rendered = sorted(
-            (rec(peer, node), length) for peer, length in children
-        )
-        inner = ",".join(
-            f"{text}:{_format_length(length)}" for (_, text), length in rendered
-        )
-        min_leaf = rendered[0][0][0]
-        return min_leaf, f"({inner})"
-
-    parts = sorted(
-        (rec(peer, root), length) for peer, length in tree._adj[root].items()
-    )
-    inner = ",".join(
+def _group(parts: list[tuple[tuple[str, str], float]]) -> str:
+    # parts are ((smallest leaf label, text), branch length), sorted
+    return "(" + ",".join(
         f"{text}:{_format_length(length)}" for (_, text), length in parts
-    )
-    return f"({inner});"
+    ) + ")"
 
 
 def to_newick(tree: PhyloTree) -> str:
@@ -276,6 +271,10 @@ def to_newick(tree: PhyloTree) -> str:
     smallest string wins, so isomorphic trees render identically.  A
     two-leaf tree renders as ``(A:d,B:0);`` with the smaller label
     carrying the whole edge.
+
+    The subtree hanging off a directed edge (node, parent) reads the same
+    from every anchor beyond it, so each one is rendered once, children
+    first, and shared by every anchor's string; no recursion is needed.
     """
     leaves = tree.leaf_ids
     if len(leaves) < 2:
@@ -284,83 +283,105 @@ def to_newick(tree: PhyloTree) -> str:
         (a, b) = sorted(leaves, key=lambda n: tree.labels[n])
         length = tree._adj[a][b]
         return f"({tree.labels[a]}:{_format_length(length)},{tree.labels[b]}:0);"
-    return min(_render_from(tree, root) for root in tree.internal_ids)
+
+    adj = tree._adj
+    # (node, parent) -> (smallest leaf label, text) of node's side of the edge
+    memo: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def children(node: int, parent: int) -> list[tuple[tuple[str, str], float]]:
+        return sorted(
+            (memo[peer, node], length)
+            for peer, length in adj[node].items()
+            if peer != parent
+        )
+
+    anchors = tree.internal_ids
+    stack = [(peer, root) for root in anchors for peer in adj[root]]
+    while stack:
+        node, parent = edge = stack[-1]
+        if edge in memo:
+            stack.pop()
+            continue
+        todo = [(peer, node) for peer in adj[node] if peer != parent and (peer, node) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        parts = children(node, parent)
+        if parts:
+            memo[edge] = (parts[0][0][0], _group(parts))
+        else:
+            label = tree.labels[node]
+            memo[edge] = (label, label)
+    return min(_group(children(root, None)) + ";" for root in anchors)
 
 
 def from_newick(text: str) -> PhyloTree:
     """Parse Newick text into an unrooted tree.
 
     Degree-2 junction nodes (including a rooted input's root) are
-    collapsed by summing their two incident branch lengths.
+    collapsed by summing their two incident branch lengths.  Parsing
+    keeps its own stack of open groups, so nesting depth is not bounded
+    by Python's recursion limit.
     """
     text = text.strip()
     if not text.endswith(";"):
         raise NewickError("missing terminating semicolon")
     body = text[:-1]
+    end = len(body)
     tree = PhyloTree()
     pos = 0
-
-    def parse_node() -> int:
-        nonlocal pos
-        if pos < len(body) and body[pos] == "(":
-            pos += 1
-            node = tree.add_node()
-            while True:
-                child, length = parse_child()
-                tree.add_edge(node, child, length)
-                if pos >= len(body) or body[pos] != ",":
-                    break
-                pos += 1
-            if pos >= len(body) or body[pos] != ")":
-                raise NewickError(f"expected ')' at offset {pos}")
-            pos += 1
-            return node
-        label = parse_token()
-        if not label:
-            raise NewickError(f"expected a label at offset {pos}")
-        return tree.add_node(label)
-
-    def parse_child() -> tuple[int, float]:
-        nonlocal pos
-        node = parse_node()
-        length = 0.0
-        if pos < len(body) and body[pos] == ":":
-            pos += 1
-            token = parse_token()
-            try:
-                length = float(token)
-            except ValueError:
-                raise NewickError(f"bad branch length {token!r}") from None
-        return node, length
 
     def parse_token() -> str:
         nonlocal pos
         start = pos
-        while pos < len(body) and body[pos] not in "(),:;":
+        while pos < end and body[pos] not in "(),:;":
             pos += 1
         return body[start:pos].strip()
 
-    root = parse_node()
-    if pos != len(body):
+    groups: list[int] = []  # internal nodes whose ')' is still to come
+    while True:
+        while pos < end and body[pos] == "(":
+            pos += 1
+            groups.append(tree.add_node())
+        label = parse_token()
+        if not label:
+            raise NewickError(f"expected a label at offset {pos}")
+        node = tree.add_node(label)
+        # hang each finished node on its group until a ',' opens a sibling
+        while groups:
+            length = 0.0
+            if pos < end and body[pos] == ":":
+                pos += 1
+                token = parse_token()
+                try:
+                    length = float(token)
+                except ValueError:
+                    raise NewickError(f"bad branch length {token!r}") from None
+            tree.add_edge(groups[-1], node, length)
+            if pos < end and body[pos] == ",":
+                pos += 1
+                break
+            if pos >= end or body[pos] != ")":
+                raise NewickError(f"expected ')' at offset {pos}")
+            pos += 1
+            node = groups.pop()
+        else:
+            break  # the root is finished
+    if pos != end:
         raise NewickError(f"trailing text at offset {pos}: {body[pos:]!r}")
 
-    # suppress unifurcations left by rooted input
-    changed = True
-    while changed:
-        changed = False
-        for node in list(tree._adj):
-            if node in tree.labels:
-                continue
-            adj = tree._adj[node]
-            if len(adj) == 2:
-                (a, la), (b, lb) = adj.items()
-                del tree._adj[a][node]
-                del tree._adj[b][node]
-                del tree._adj[node]
-                tree.add_edge(a, b, la + lb)
-                changed = True
-                break
-    _ = root
+    # suppress unifurcations left by rooted input; collapsing one changes
+    # no other node's degree, so a single pass finds them all
+    for node in list(tree._adj):
+        adj = tree._adj[node]
+        if node in tree.labels or len(adj) != 2:
+            continue
+        (a, la), (b, lb) = adj.items()
+        del tree._adj[a][node]
+        del tree._adj[b][node]
+        del tree._adj[node]
+        tree.add_edge(a, b, la + lb)
     return tree
 
 

@@ -463,7 +463,7 @@ class MessengerServer:
             return
         port_token = "%05d" % listener.getsockname()[1]
         listener.settimeout(DATA_ACCEPT_TIMEOUT_S)
-        relayed = 0
+        recipient_conn = None
         try:
             # recipient connects first, sender second: accept order is identity
             self._send_frame(recipient, Frame(Command.FILE_ACCEPT, (pending.sender, port_token)))
@@ -475,6 +475,8 @@ class MessengerServer:
                 "transfer_aborted", nick=pending.sender, peer=pending.recipient,
                 detail="data channel never opened",
             )
+            if recipient_conn is not None:
+                recipient_conn.close()
             self._ports.release(listener)
             return
         try:

@@ -1,7 +1,10 @@
+import gc
 import json
+import re
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -251,6 +254,32 @@ def test_failed_transfer_names_client_peer_and_role(tmp_path, monkeypatch):
     assert isinstance(error, ScenarioFailed)
     assert str(error).startswith("c1: recipient data channel with c2 on port ")
     assert isinstance(error.__cause__, OSError)
+
+
+def test_abandoned_data_channel_closes_recipient_socket(monkeypatch):
+    # the offering peer never connects to the data port; the server must
+    # close the recipient's accepted half itself, not leave it to the
+    # garbage collector (which warns about an unclosed socket)
+    monkeypatch.setattr(server_module, "DATA_ACCEPT_TIMEOUT_S", 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with start_server(ServerConfig()) as server:
+            client = scripted_c1(server.address)
+            client.connect_and_probe()
+            client.run(now_mono_ms(), [ScheduleEvent(0.0, "c1", "login")])
+            peer = RawClient(server.address)
+            peer.login("c2")
+            peer.send(Frame(Command.FILE_OFFER, ("c1", "f0.bin", "10")))
+            assert wait_until(lambda: client.error is not None)
+            client.close()
+            peer.close()
+        gc.collect()
+    port = int(re.search(r"on port (\d+)", str(client.error)).group(1))
+    server_side = f"laddr=('127.0.0.1', {port})"
+    assert [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning) and server_side in str(w.message)
+    ] == []
 
 
 def test_offer_waits_for_unfinished_transfer_from_same_peer(monkeypatch):

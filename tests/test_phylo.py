@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biokm.phylo import (
     DistanceMatrix,
@@ -10,6 +11,8 @@ from biokm.phylo import (
     NegativeRtt,
     NewickError,
     PhyloTree,
+    _clamped_pair,
+    _format_length,
     from_newick,
     net_divergence,
     nj_build,
@@ -220,6 +223,136 @@ def leaf_matrix_of(tree: PhyloTree) -> dict[tuple[str, str], float]:
     return out
 
 
+def caterpillar(n_leaves: int, rng: random.Random) -> PhyloTree:
+    """A path of internal nodes with one leaf hanging off each (the deepest shape)."""
+    tree = PhyloTree()
+    leaves = [tree.add_node(f"t{i:04d}") for i in range(n_leaves)]
+    spine = [tree.add_node() for _ in range(n_leaves - 2)]
+    for leaf, node in zip(leaves, [spine[0], *spine, spine[-1]]):
+        tree.add_edge(leaf, node, float(rng.randint(1, 9)))
+    for a, b in zip(spine, spine[1:]):
+        tree.add_edge(a, b, float(rng.randint(1, 9)))
+    return tree
+
+
+def loop_nj_build(dm: DistanceMatrix) -> PhyloTree:
+    """Reference: Neighbor-Joining with the criterion scanned pair by pair."""
+    tree = PhyloTree()
+    ids = [tree.add_node(label) for label in dm.labels]
+    n = len(ids)
+    if n == 2:
+        tree.add_edge(ids[0], ids[1], float(dm.values[0, 1]))
+        return tree
+
+    d = dm.values.astype(float).copy()
+    nodes = list(ids)
+    order = list(range(n))  # creation rank, for deterministic tie-breaks
+    next_rank = n
+
+    while len(nodes) > 3:
+        m = len(nodes)
+        u = d.sum(axis=0)
+        best = None
+        best_m = None
+        best_rank = None
+        for i in range(m):
+            for j in range(i + 1, m):
+                mij = d[i, j] - (u[i] + u[j]) / (m - 2)
+                rank = tuple(sorted((order[i], order[j])))
+                if best is None or mij < best_m or (mij == best_m and rank < best_rank):
+                    best, best_m, best_rank = (i, j), mij, rank
+        i, j = best
+        b_i = 0.5 * d[i, j] + (u[i] - u[j]) / (2 * (m - 2))
+        b_i, b_j = _clamped_pair(b_i, d[i, j] - b_i)
+        joined = tree.add_node()
+        tree.add_edge(nodes[i], joined, b_i)
+        tree.add_edge(nodes[j], joined, b_j)
+
+        fresh = 0.5 * (d[i, :] + d[j, :] - d[i, j])
+        d[i, :] = fresh
+        d[:, i] = fresh
+        d[i, i] = 0.0
+        nodes[i] = joined
+        order[i] = next_rank
+        next_rank += 1
+        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
+        del nodes[j]
+        del order[j]
+
+    center = tree.add_node()
+    b0 = 0.5 * (d[0, 1] + d[0, 2] - d[1, 2])
+    b1 = 0.5 * (d[0, 1] + d[1, 2] - d[0, 2])
+    b2 = 0.5 * (d[0, 2] + d[1, 2] - d[0, 1])
+    for node, length in zip(nodes, (b0, b1, b2)):
+        tree.add_edge(node, center, max(length, 0.0))
+    return tree
+
+
+def brute_force_to_newick(tree: PhyloTree) -> str:
+    """Reference: render the whole tree from every anchor, keep the smallest."""
+
+    def render_from(root: int) -> str:
+        def rec(node: int, parent: int) -> tuple[str, str]:
+            children = [
+                (peer, length)
+                for peer, length in tree._adj[node].items()
+                if peer != parent
+            ]
+            if not children:
+                label = tree.labels[node]
+                return label, label
+            rendered = sorted(
+                (rec(peer, node), length) for peer, length in children
+            )
+            inner = ",".join(
+                f"{text}:{_format_length(length)}" for (_, text), length in rendered
+            )
+            return rendered[0][0][0], f"({inner})"
+
+        parts = sorted(
+            (rec(peer, root), length) for peer, length in tree._adj[root].items()
+        )
+        inner = ",".join(
+            f"{text}:{_format_length(length)}" for (_, text), length in parts
+        )
+        return f"({inner});"
+
+    leaves = tree.leaf_ids
+    if len(leaves) == 2:
+        (a, b) = sorted(leaves, key=lambda n: tree.labels[n])
+        length = tree._adj[a][b]
+        return f"({tree.labels[a]}:{_format_length(length)},{tree.labels[b]}:0);"
+    return min(render_from(root) for root in tree.internal_ids)
+
+
+def adjacency_bits(tree: PhyloTree):
+    """Node ids, neighbour order and the exact bits of every branch length."""
+    return tree.labels, [
+        (node, [(peer, float(length).hex()) for peer, length in adj.items()])
+        for node, adj in tree._adj.items()
+    ]
+
+
+def assert_matches_reference(dm: DistanceMatrix) -> None:
+    tree, want = nj_build(dm), loop_nj_build(dm)
+    assert adjacency_bits(tree) == adjacency_bits(want)
+    assert to_newick(tree) == brute_force_to_newick(want)
+
+
+@st.composite
+def symmetric_matrices(draw, entries):
+    n = draw(st.integers(2, 14))
+    upper = np.triu_indices(n, 1)
+    cells = draw(st.lists(entries, min_size=len(upper[0]), max_size=len(upper[0])))
+    values = np.zeros((n, n))
+    values[upper] = cells
+    values.T[upper] = cells
+    return DistanceMatrix([f"n{i:02d}" for i in range(n)], values)
+
+
+ORACLE = settings(derandomize=True, deadline=None, max_examples=150)
+
+
 # --- net divergence ----------------------------------------------------------
 
 
@@ -262,6 +395,12 @@ def test_matrix_invariants_enforced():
         DistanceMatrix(["a", "a"], [[0, 1], [1, 0]])  # duplicate labels
     with pytest.raises(MatrixInvariantViolation):
         DistanceMatrix(["a"], [[0]])  # too small
+
+
+def test_matrix_rejects_non_finite():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(MatrixInvariantViolation, match="finite"):
+            DistanceMatrix(["a", "b"], [[0, bad], [bad, 0]])
 
 
 def test_matrix_csv_round_trip(tmp_path):
@@ -392,6 +531,35 @@ def test_scaling_leaves_topology_unchanged():
         assert tree_splits(nj_build(scaled)) == base
 
 
+@ORACLE
+@given(symmetric_matrices(st.integers(0, 3)))
+def test_nj_matches_loop_reference_on_tied_integer_matrices(dm):
+    assert_matches_reference(dm)
+
+
+@ORACLE
+@given(symmetric_matrices(st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)))
+def test_nj_matches_loop_reference_on_float_matrices(dm):
+    assert_matches_reference(dm)
+
+
+@ORACLE
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 3), st.floats(0.0, 10.0, allow_nan=False)),
+        min_size=1, max_size=12,
+    )
+)
+def test_nj_matches_loop_reference_on_star_matrices(rtts):
+    assert_matches_reference(star_distances({f"c{i + 1}": x for i, x in enumerate(rtts)}))
+
+
+def test_nj_and_newick_on_deep_caterpillar():
+    truth = caterpillar(600, random.Random(600))
+    tree = nj_build(truth.leaf_distances())
+    assert to_newick(tree) == to_newick(truth)
+
+
 # --- newick ------------------------------------------------------------------
 
 
@@ -411,6 +579,15 @@ def test_newick_round_trip_200_random_trees():
         text = to_newick(tree)
         assert text.endswith(";")
         assert to_newick(from_newick(text)) == text
+
+
+def test_newick_round_trip_deep_caterpillar():
+    tree = caterpillar(1200, random.Random(1200))
+    text = to_newick(tree)
+    again = from_newick(text)
+    assert len(again.leaf_ids) == 1200
+    assert len(again.edges()) == 2 * 1200 - 3
+    assert to_newick(again) == text
 
 
 def test_newick_collapses_rooted_input():
@@ -461,3 +638,29 @@ def test_star_distances_triangle_equality():
 def test_star_distances_rejects_negative():
     with pytest.raises(NegativeRtt):
         star_distances({"c1": -0.5})
+
+
+# --- leaf distances ----------------------------------------------------------
+
+
+def test_leaf_distances_symmetric_on_float_lengths():
+    tree = from_newick("((a:0.1,b:0.2):0.3,(c:0.7,d:0.1):0.3,(e:0.3,f:0.6):0.1);")
+    dm = tree.leaf_distances()
+    assert dm.labels == ("a", "b", "c", "d", "e", "f")
+    walked = leaf_matrix_of(tree)
+    for i, a in enumerate(dm.labels):
+        for j, b in enumerate(dm.labels):
+            if i != j:
+                assert dm.values[i, j] == pytest.approx(walked[(a, b)], abs=1e-12)
+
+
+def test_leaf_distances_of_star_trees():
+    rng = random.Random(1)
+    for _ in range(50):
+        rtt = {f"c{k + 1}": rng.uniform(0.05, 2.0) for k in range(8)}
+        dm = nj_build(star_distances(rtt)).leaf_distances()
+        want = star_distances(rtt)
+        assert dm.labels == tuple(sorted(want.labels))
+        for a in dm.labels:
+            for b in dm.labels:
+                assert dm.distance(a, b) == pytest.approx(want.distance(a, b), abs=1e-12)
