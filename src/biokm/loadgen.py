@@ -7,12 +7,18 @@ generator, so a seed fully determines the schedule (and with it every
 non-timing field of the resulting capture).
 
 Clients run pairwise phases: both ends of a pair are online together
-and exchange traffic, phases follow one another, and the run window is
-padded so that the summed session time stays below the window length
-(the analysis requires a stable, under-unity utilization).  A client
+and exchange traffic, and phases follow one another.  The run record
+pads the window so that the summed session time stays below the window
+length (the analysis requires a stable, under-unity utilization).  The
+padding is written into the record, not waited out: a run returns once
+its last client has been served.  Two completion waits make the
+server's log and history complete by then: a recipient reads its data
+channel to EOF, and a client waits for the server's EOF after QUIT (see
+``run_scenario``).  A client
 sends nothing to a peer before that peer's login is answered, whatever
 the offsets say.  An odd trailing client talks to itself, which the
-protocol permits.
+protocol permits.  The first error any client records, a server ERR
+included, stops the whole run.
 
 Transfer roles need care: FILE_ACCEPT frames carry only a peer and a
 port, so a client tells its role in a transfer from the peer alone.
@@ -37,6 +43,7 @@ import socket
 import statistics
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -203,6 +210,15 @@ def _body(seed: int, nick: str, kind: str, index: int, size: int) -> bytes:
     return random.Random(f"{seed}:{nick}:{kind}:{index}").randbytes(size)
 
 
+class _Run:
+    """What the clients of one run share: one condition that guards every
+    client's state, and the run's first failure, which stops them all."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.failure: Exception | None = None
+
+
 class _ScriptedClient:
     """One scripted connection: a schedule executor plus a reactive reader."""
 
@@ -212,12 +228,14 @@ class _ScriptedClient:
         address: tuple[str, int],
         spec: ScenarioSpec,
         online: dict[str, threading.Event],
+        run: _Run | None = None,
     ):
         self.nick = nick
         self.address = address
         self.spec = spec
         # nick -> set once that client's LOGIN is answered; shared by a run
         self._online = online
+        self._run = run or _Run()
         self.metrics = SessionMetrics()
         self.rtt_ms: float | None = None
         self.departure_epoch_ms: float | None = None
@@ -225,7 +243,8 @@ class _ScriptedClient:
 
         self._sock: socket.socket | None = None
         self._send_lock = threading.Lock()
-        self._state = threading.Condition()
+        self._state = self._run.cond
+        self._reader_done = False
         self._ok_seen = 0
         self._msgs_received = 0
         self._files_received = 0
@@ -234,7 +253,8 @@ class _ScriptedClient:
         self._incoming_bound = False
         self._outgoing_peer: str | None = None  # offered, awaiting port
         self._outgoing_bound = False
-        self._outgoing_done = threading.Event()
+        self._outgoing_done = False
+        self._channels: set[socket.socket] = set()  # open data channels
         self._reader: threading.Thread | None = None
         self._data_threads: list[threading.Thread] = []
 
@@ -288,19 +308,30 @@ class _ScriptedClient:
         if delta > 0:
             time.sleep(delta)
 
+    def _wait(self, ready, stalled: str):
+        """Wait on the run's condition, which the caller holds, until
+        ``ready()``; raise if CLIENT_TIMEOUT_S passes or the run fails."""
+        run = self._run
+        if not self._state.wait_for(
+            lambda: ready() or run.failure is not None, CLIENT_TIMEOUT_S
+        ):
+            raise ScenarioFailed(f"{self.nick}: {stalled}")
+        if run.failure is not None:
+            raise ScenarioFailed(f"{self.nick}: stopped by {run.failure}")
+
     def _do_login(self):
         self.metrics.start_mono_ms = now_mono_ms()
         self._send(Frame(Command.LOGIN, (self.nick,)))
         with self._state:
-            if not self._state.wait_for(lambda: self._ok_seen > 0, CLIENT_TIMEOUT_S):
-                raise ScenarioFailed(f"{self.nick}: no OK after LOGIN")
-        self._online[self.nick].set()
+            self._wait(lambda: self._ok_seen > 0, "no OK after LOGIN")
+            self._online[self.nick].set()
+            self._state.notify_all()
 
     def _await_peer(self, peer: str):
         # offsets alone do not order events across clients on a loaded
         # machine; a send before the peer's login would get NO_SUCH_USER
-        if not self._online[peer].wait(CLIENT_TIMEOUT_S):
-            raise ScenarioFailed(f"{self.nick}: {peer} never logged in")
+        with self._state:
+            self._wait(self._online[peer].is_set, f"{peer} never logged in")
 
     def _do_message(self, event: ScheduleEvent):
         self._await_peer(event.peer)
@@ -310,16 +341,14 @@ class _ScriptedClient:
     def _do_transfer(self, event: ScheduleEvent):
         self._await_peer(event.peer)
         with self._state:
-            if not self._state.wait_for(
-                lambda: self._incoming_peer != event.peer, CLIENT_TIMEOUT_S
-            ):
-                raise ScenarioFailed(
-                    f"{self.nick}: file {event.index} to {event.peer} stalled "
-                    f"behind an unfinished transfer from {event.peer}"
-                )
+            self._wait(
+                lambda: self._incoming_peer != event.peer,
+                f"file {event.index} to {event.peer} stalled "
+                f"behind an unfinished transfer from {event.peer}",
+            )
             self._outgoing_peer = event.peer
             self._outgoing_bound = False
-            self._outgoing_done.clear()
+            self._outgoing_done = False
             self._outgoing_body = _body(
                 self.spec.seed, self.nick, "file", event.index, event.size
             )
@@ -329,11 +358,11 @@ class _ScriptedClient:
                 (event.peer, f"f{event.index}.bin", str(event.size)),
             )
         )
-        if not self._outgoing_done.wait(CLIENT_TIMEOUT_S):
-            raise ScenarioFailed(
-                f"{self.nick}: file {event.index} to {event.peer} stalled"
-            )
         with self._state:
+            self._wait(
+                lambda: self._outgoing_done,
+                f"file {event.index} to {event.peer} stalled",
+            )
             self._outgoing_peer = None
             self._state.notify_all()
         self._pump_accepts()
@@ -342,17 +371,15 @@ class _ScriptedClient:
         # the schedule fixes how much traffic arrives before departure, so
         # wait for all of it: quitting early would strand the peer's sends
         with self._state:
-            drained = self._state.wait_for(
+            self._wait(
                 lambda: (
                     self._msgs_received >= self.spec.messages_per_client
                     and self._files_received >= self.spec.files_per_client
                     and self._incoming_peer is None
                     and not self._offer_queue
                 ),
-                CLIENT_TIMEOUT_S,
+                "incoming traffic never drained",
             )
-        if not drained:
-            raise ScenarioFailed(f"{self.nick}: incoming traffic never drained")
         self._send(Frame(Command.QUIT))
         self.metrics.departure_mono_ms = now_mono_ms()
         self.departure_epoch_ms = now_epoch_ms()
@@ -360,6 +387,10 @@ class _ScriptedClient:
             self._sock.shutdown(socket.SHUT_WR)
         except OSError:
             pass
+        # the server records a departure before it closes the session,
+        # so once the reader has seen EOF, session_history() holds it
+        with self._state:
+            self._wait(lambda: self._reader_done, "no EOF after QUIT")
 
     def _send(self, frame: Frame, payload: bytes = b""):
         wire = encode_frame(frame, payload)
@@ -368,9 +399,11 @@ class _ScriptedClient:
         self.metrics.count_sent(len(wire))
 
     def _record(self, exc: Exception):
-        """Keep the first error; run_scenario surfaces it."""
+        """Keep the first error; the run's first one stops every client."""
         with self._state:
             self.error = self.error or exc
+            self._run.failure = self._run.failure or exc
+            self._state.notify_all()
 
     # -- reactive side ---------------------------------------------------------
 
@@ -378,23 +411,28 @@ class _ScriptedClient:
         buffer = getattr(self, "_leftover", FrameBuffer())
         sock = self._sock
         sock.settimeout(0.2)
-        while True:
-            try:
-                data = sock.recv(RECV_SIZE)
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            if not data:
-                return
-            try:
-                frames = buffer.feed(data)
-            except Exception as exc:  # noqa: BLE001
-                self._record(exc)
-                return
-            for frame, payload, consumed in frames:
-                self.metrics.count_received(consumed)
-                self._react(frame, payload)
+        try:
+            while True:
+                try:
+                    data = sock.recv(RECV_SIZE)
+                except socket.timeout:
+                    continue
+                except OSError:
+                    return
+                if not data:
+                    return
+                try:
+                    frames = buffer.feed(data)
+                except Exception as exc:  # noqa: BLE001
+                    self._record(exc)
+                    return
+                for frame, payload, consumed in frames:
+                    self.metrics.count_received(consumed)
+                    self._react(frame, payload)
+        finally:
+            with self._state:
+                self._reader_done = True
+                self._state.notify_all()
 
     def _react(self, frame: Frame, payload: bytes):
         command = frame.command
@@ -468,12 +506,23 @@ class _ScriptedClient:
         failure.__cause__ = exc
         self._record(failure)
 
+    @contextmanager
+    def _channel(self, port: int):
+        """A data connection that close() can shut down from outside."""
+        conn = socket.create_connection((self.address[0], port), timeout=CLIENT_TIMEOUT_S)
+        with self._state:
+            self._channels.add(conn)
+        try:
+            yield conn
+        finally:
+            with self._state:
+                self._channels.discard(conn)
+            conn.close()
+
     def _send_file(self, peer: str, port: int):
         body = self._outgoing_body
         try:
-            with socket.create_connection(
-                (self.address[0], port), timeout=CLIENT_TIMEOUT_S
-            ) as conn:
+            with self._channel(port) as conn:
                 for off in range(0, len(body), CHUNK_SIZE):
                     wire = encode_chunk(body[off : off + CHUNK_SIZE])
                     conn.sendall(wire)
@@ -484,14 +533,14 @@ class _ScriptedClient:
         except OSError as exc:
             self._channel_failed("sender", peer, port, exc)
         finally:
-            self._outgoing_done.set()
+            with self._state:
+                self._outgoing_done = True
+                self._state.notify_all()
 
     def _receive_file(self, peer: str, port: int):
         buf = bytearray()
         try:
-            with socket.create_connection(
-                (self.address[0], port), timeout=CLIENT_TIMEOUT_S
-            ) as conn:
+            with self._channel(port) as conn:
                 done = False
                 while not done:
                     result = decode_chunk(bytes(buf))
@@ -505,6 +554,10 @@ class _ScriptedClient:
                     del buf[:consumed]
                     self.metrics.count_received(consumed)
                     done = not chunk
+                # the server closes the channel only after logging the
+                # transfer, so EOF here means the log already holds it
+                if buf or conn.recv(1):
+                    raise OSError("data after the terminator")
         except OSError as exc:
             self._channel_failed("recipient", peer, port, exc)
         finally:
@@ -515,10 +568,14 @@ class _ScriptedClient:
             self._pump_accepts()
 
     def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        with self._state:
+            socks = [self._sock, *self._channels]
+        for sock in socks:  # shutdown wakes a thread blocked in recv
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._sock.close()
         if self._reader is not None:
             self._reader.join(timeout=2.0)
         for thread in self._data_threads:
@@ -538,11 +595,22 @@ def run_scenario(
     whole measurement window, with server-perspective aggregate counters
     implied by loss-free conservation (client-sent equals
     server-received).
+
+    The call returns once the last client has been served.  The window's
+    end is padded in the record, not waited out; ``active_end_mono_ms``
+    holds the last departure as measured.  By the time the call returns,
+    the server has logged every transfer (each recipient reads its data
+    channel to EOF, which the server sends only after logging) and
+    recorded every departure (each client waits for the server's EOF
+    after QUIT).  The first client error, a server ERR included, stops
+    every client and is raised as ``ScenarioFailed``.
     """
     schedule = generate_schedule(spec)
+    run = _Run()
     online = {nick: threading.Event() for nick in schedule.nicks}
     clients = [
-        _ScriptedClient(nick, server_address, spec, online) for nick in schedule.nicks
+        _ScriptedClient(nick, server_address, spec, online, run)
+        for nick in schedule.nicks
     ]
     for client in clients:
         client.connect_and_probe()
@@ -562,24 +630,19 @@ def run_scenario(
         thread.join(timeout=CLIENT_TIMEOUT_S + schedule.end_ms / 1000.0)
     # pad the window against the spans actually measured: under load the
     # sessions stretch past their scheduled offsets, and the analysis
-    # needs summed session time to stay below the window
-    active_ms = sum(
-        (c.metrics.departure_mono_ms or now_mono_ms()) - c.metrics.start_mono_ms
-        for c in clients
-        if c.metrics.start_mono_ms
-    )
+    # needs summed session time to stay below the window.  The padding
+    # is recorded, not slept out.
+    now = now_mono_ms()
+    started = [c for c in clients if c.metrics.start_mono_ms]
+    departures = [c.metrics.departure_mono_ms or now for c in started]
+    active_ms = sum(d - c.metrics.start_mono_ms for c, d in zip(started, departures))
     window_ms = max(schedule.end_ms, active_ms / 0.7)
-    remaining = (t0 + window_ms - now_mono_ms()) / 1000.0
-    if remaining > 0:
-        time.sleep(remaining)
-    end_ms = max(now_mono_ms(), t0 + window_ms)
+    end_ms = max(now, t0 + window_ms)
     for client in clients:
         client.close()
 
-    failures = [c.error for c in clients if c.error is not None]
-    if failures:
-        summary = "; ".join(str(f) for f in failures)
-        raise ScenarioFailed(summary) from failures[0]
+    if run.failure is not None:
+        raise ScenarioFailed(str(run.failure)) from run.failure
 
     records = [
         session_record(
@@ -595,6 +658,7 @@ def run_scenario(
             label or spec.mode.value,
             server_start_mono_ms=t0,
             end_mono_ms=end_ms,
+            active_end_mono_ms=max(departures),
             packets_received=sum(c.metrics.packets_sent for c in clients),
             bytes_received=sum(c.metrics.bytes_sent for c in clients),
             packets_sent=sum(c.metrics.packets_received for c in clients),

@@ -24,6 +24,7 @@ deficit moved to its sibling so the pair distance is preserved.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -322,7 +323,8 @@ def from_newick(text: str) -> PhyloTree:
     Degree-2 junction nodes (including a rooted input's root) are
     collapsed by summing their two incident branch lengths.  Parsing
     keeps its own stack of open groups, so nesting depth is not bounded
-    by Python's recursion limit.
+    by Python's recursion limit.  A branch length that is not a finite
+    number >= 0 raises ``NewickError``.
     """
     text = text.strip()
     if not text.endswith(";"):
@@ -357,7 +359,9 @@ def from_newick(text: str) -> PhyloTree:
                 try:
                     length = float(token)
                 except ValueError:
-                    raise NewickError(f"bad branch length {token!r}") from None
+                    length = math.nan
+                if not 0.0 <= length < math.inf:  # also rejects nan
+                    raise NewickError(f"bad branch length {token!r}")
             tree.add_edge(groups[-1], node, length)
             if pos < end and body[pos] == ",":
                 pos += 1

@@ -187,9 +187,13 @@ class MessengerServer:
 
     def start(self) -> "MessengerServer":
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, self.config.control_port))
-        listener.listen(64)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.config.host, self.config.control_port))
+            listener.listen(64)
+        except OSError:
+            listener.close()
+            raise
         listener.settimeout(ACCEPT_POLL_S)
         self._listener = listener
         self.start_mono_ms = now_mono_ms()

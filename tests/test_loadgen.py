@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -299,3 +300,105 @@ def test_accept_on_closed_control_socket_is_recorded():
     client._pump_accepts()  # must not raise in the calling data thread
     assert isinstance(client.error, ScenarioFailed)
     assert "c1: cannot accept file from c2" in str(client.error)
+
+
+# --- completion: the call returns once the traffic has been served ----------
+
+
+def test_gap_zero_run_does_not_sleep(server, tmp_path, monkeypatch):
+    # the padded window is arithmetic on the record, never waited out
+    slept = []
+    monkeypatch.setattr(loadgen.time, "sleep", slept.append)
+    spec = ScenarioSpec(
+        mode=Mode.IRCD, clients=2, messages_per_client=20, inter_event_gap_ms=0,
+    )
+    run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+    assert slept == []
+
+
+def test_bookkeeping_complete_when_run_returns(server, tmp_path):
+    # seven clients share one condition; switching threads every few
+    # microseconds shakes out a departure or transfer the waits miss
+    spec = ScenarioSpec(
+        mode=Mode.MIXED, clients=7, messages_per_client=4, files_per_client=3,
+        file_size=20000, inter_event_gap_ms=0, seed=6,
+    )
+    nicks = [f"c{i}" for i in range(1, 8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        before = now_mono_ms()
+        out = run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+        returned = now_mono_ms()
+        # read at once: no wait_until, the call's own completion waits
+        # order these
+        history = server.session_history()
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "events.jsonl").read_text().splitlines()
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(r.nick for r in history) == nicks
+    assert all(r.departure_mono_ms is not None for r in history)
+    assert sorted(e["nick"] for e in events if e["kind"] == "quit") == nicks
+    # three pairs both ways and c7 to itself, three files per direction
+    complete = [e for e in events if e["kind"] == "transfer_complete"]
+    assert len(complete) == 7 * 3
+    assert all(e["bytes"] == 20000 for e in complete)
+
+    sessions, run = read_capture(out)
+    spans = sum(r["departure_mono_ms"] - r["start_mono_ms"] for r in sessions)
+    padded = max(generate_schedule(spec).end_ms, spans / 0.7)
+    window = run["end_mono_ms"] - run["server_start_mono_ms"]
+    # the record pads the window; it is longer only if the run overran it
+    assert window == pytest.approx(padded) or (
+        window > padded and run["end_mono_ms"] <= returned
+    )
+    assert run["active_end_mono_ms"] == max(r["departure_mono_ms"] for r in sessions)
+    assert before <= run["active_end_mono_ms"] <= run["end_mono_ms"]
+
+
+def test_completion_waits_cover_slow_server_bookkeeping(tmp_path, monkeypatch):
+    # the server takes its time recording departures and logging
+    # transfers; run_scenario must still not return before it is done
+    unregister = server_module.MessengerServer._unregister
+    write = server_module._EventLog.write
+
+    def slow_unregister(self, session, kind):
+        time.sleep(0.1)
+        unregister(self, session, kind)
+
+    def slow_write(self, kind, *args, **kwargs):
+        if kind == "transfer_complete":  # outlasts the departures
+            time.sleep(0.3)
+        write(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(server_module.MessengerServer, "_unregister", slow_unregister)
+    monkeypatch.setattr(server_module._EventLog, "write", slow_write)
+    spec = ScenarioSpec(
+        mode=Mode.FTP, clients=2, files_per_client=1, file_size=1000,
+        inter_event_gap_ms=0,
+    )
+    log = tmp_path / "events.jsonl"
+    with start_server(ServerConfig(log_path=log)) as server:
+        run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+        history = server.session_history()
+        kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
+        assert [r.departure_mono_ms is not None for r in history] == [True, True]
+        assert kinds.count("quit") == 2
+        assert kinds.count("transfer_complete") == 2
+
+
+def test_refused_frame_fails_the_run_at_once(server, tmp_path):
+    # c1's LOGIN is refused; before, its peer sat out CLIENT_TIMEOUT_S
+    squatter = RawClient(server.address)
+    assert squatter.login("c1").command is Command.OK
+    spec = ScenarioSpec(mode=Mode.IRCD, clients=2, messages_per_client=3, **FAST)
+    started = time.monotonic()
+    try:
+        with pytest.raises(ScenarioFailed, match=r"^c1: server error NICK_TAKEN$"):
+            run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+    finally:
+        squatter.close()
+    assert time.monotonic() - started < 5.0

@@ -608,6 +608,19 @@ def test_newick_parse_errors():
         from_newick("(A:x,B:2);")  # bad length
 
 
+@pytest.mark.parametrize("length", ["nan", "inf", "-inf", "-1", "-0.5"])
+def test_newick_rejects_non_finite_or_negative_lengths(length):
+    with pytest.raises(NewickError, match="bad branch length"):
+        from_newick(f"(A:{length},B:1,C:1);")
+    with pytest.raises(NewickError, match="bad branch length"):
+        from_newick(f"((A:1,B:1):{length},C:1,D:1);")
+
+
+def test_newick_accepts_zero_and_exponent_lengths():
+    tree = from_newick("(A:0,B:1e-3,C:2.5E1);")
+    assert to_newick(tree) == "(A:0,B:0.001,C:25);"
+
+
 # --- star distances ----------------------------------------------------------
 
 

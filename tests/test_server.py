@@ -1,6 +1,8 @@
+import gc
 import json
 import socket
 import time
+import warnings
 
 import pytest
 
@@ -84,6 +86,21 @@ def test_fresh_server_has_no_sessions(server):
 def test_same_port_twice_fails(server):
     with pytest.raises(OSError):
         start_server(ServerConfig(control_port=server.port))
+
+
+def test_failed_start_closes_listener(server):
+    gc.collect()  # settle garbage from earlier tests first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError):
+            start_server(ServerConfig(control_port=server.port))
+        gc.collect()
+    # the listener never bound, so it would show its unbound address
+    assert [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning)
+        and "laddr=('0.0.0.0', 0)" in str(w.message)
+    ] == []
 
 
 def test_two_clients_show_in_snapshot(server):
