@@ -49,18 +49,17 @@ from enum import Enum
 from pathlib import Path
 
 from .protocol import (
+    MAX_CHUNK,
     Command,
     Frame,
     FrameBuffer,
-    NEED_MORE,
-    decode_chunk,
+    ProtocolError,
     encode_chunk,
     encode_frame,
 )
-from .server import now_epoch_ms, now_mono_ms, RECV_SIZE
+from .server import now_epoch_ms, now_mono_ms
 from .telemetry import SessionMetrics, run_record, session_record, write_capture
 
-CHUNK_SIZE = 65536
 RTT_PROBES = 5
 CLIENT_TIMEOUT_S = 30.0
 
@@ -242,6 +241,7 @@ class _ScriptedClient:
         self.error: Exception | None = None
 
         self._sock: socket.socket | None = None
+        self._decoder = FrameBuffer()  # the control channel, RTT probes included
         self._send_lock = threading.Lock()
         self._state = self._run.cond
         self._reader_done = False
@@ -262,7 +262,6 @@ class _ScriptedClient:
 
     def connect_and_probe(self):
         self._sock = socket.create_connection(self.address, timeout=CLIENT_TIMEOUT_S)
-        buffer = FrameBuffer()
         samples = []
         for i in range(RTT_PROBES):
             nonce = f"p{i}"
@@ -270,12 +269,11 @@ class _ScriptedClient:
             self._sock.sendall(encode_frame(Frame(Command.PING, (nonce,))))
             got = None
             while got is None:
-                for frame, _, _ in buffer.feed(self._sock.recv(RECV_SIZE)):
+                for frame, _, _ in self._decoder.recv(self._sock):
                     if frame.command is Command.PONG and frame.args[0] == nonce:
                         got = now_mono_ms() - t0
             samples.append(got)
         self.rtt_ms = statistics.median(samples)
-        self._leftover = buffer
 
     # -- schedule execution ----------------------------------------------------
 
@@ -408,22 +406,17 @@ class _ScriptedClient:
     # -- reactive side ---------------------------------------------------------
 
     def _read_loop(self):
-        buffer = getattr(self, "_leftover", FrameBuffer())
         sock = self._sock
         sock.settimeout(0.2)
         try:
             while True:
                 try:
-                    data = sock.recv(RECV_SIZE)
+                    frames = self._decoder.recv(sock)
                 except socket.timeout:
                     continue
                 except OSError:
                     return
-                if not data:
-                    return
-                try:
-                    frames = buffer.feed(data)
-                except Exception as exc:  # noqa: BLE001
+                except ProtocolError as exc:
                     self._record(exc)
                     return
                 for frame, payload, consumed in frames:
@@ -499,7 +492,7 @@ class _ScriptedClient:
         thread.start()
         self._data_threads.append(thread)
 
-    def _channel_failed(self, role: str, peer: str, port: int, exc: OSError):
+    def _channel_failed(self, role: str, peer: str, port: int, exc: Exception):
         failure = ScenarioFailed(
             f"{self.nick}: {role} data channel with {peer} on port {port} failed: {exc}"
         )
@@ -523,13 +516,11 @@ class _ScriptedClient:
         body = self._outgoing_body
         try:
             with self._channel(port) as conn:
-                for off in range(0, len(body), CHUNK_SIZE):
-                    wire = encode_chunk(body[off : off + CHUNK_SIZE])
+                # the slice at len(body) is empty: the terminator
+                for off in [*range(0, len(body), MAX_CHUNK), len(body)]:
+                    wire = encode_chunk(body[off : off + MAX_CHUNK])
                     conn.sendall(wire)
                     self.metrics.count_sent(len(wire))
-                terminator = encode_chunk(b"")
-                conn.sendall(terminator)
-                self.metrics.count_sent(len(terminator))
         except OSError as exc:
             self._channel_failed("sender", peer, port, exc)
         finally:
@@ -538,27 +529,19 @@ class _ScriptedClient:
                 self._state.notify_all()
 
     def _receive_file(self, peer: str, port: int):
-        buf = bytearray()
+        stream = FrameBuffer(chunks=True)
         try:
             with self._channel(port) as conn:
-                done = False
-                while not done:
-                    result = decode_chunk(bytes(buf))
-                    if result is NEED_MORE:
-                        data = conn.recv(RECV_SIZE)
-                        if not data:
-                            raise OSError("data channel closed early")
-                        buf.extend(data)
-                        continue
-                    chunk, consumed = result
-                    del buf[:consumed]
-                    self.metrics.count_received(consumed)
-                    done = not chunk
+                chunks = []
+                while not chunks or chunks[-1][0]:
+                    chunks = stream.recv(conn)
+                    for _, consumed in chunks:
+                        self.metrics.count_received(consumed)
                 # the server closes the channel only after logging the
                 # transfer, so EOF here means the log already holds it
-                if buf or conn.recv(1):
+                if stream.pending() or conn.recv(1):
                     raise OSError("data after the terminator")
-        except OSError as exc:
+        except (OSError, ProtocolError) as exc:
             self._channel_failed("recipient", peer, port, exc)
         finally:
             with self._state:

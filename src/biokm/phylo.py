@@ -323,8 +323,8 @@ def from_newick(text: str) -> PhyloTree:
     Degree-2 junction nodes (including a rooted input's root) are
     collapsed by summing their two incident branch lengths.  Parsing
     keeps its own stack of open groups, so nesting depth is not bounded
-    by Python's recursion limit.  A branch length that is not a finite
-    number >= 0 raises ``NewickError``.
+    by Python's recursion limit.  Internal node labels are skipped.  A
+    branch length that is not a finite number >= 0 raises ``NewickError``.
     """
     text = text.strip()
     if not text.endswith(";"):
@@ -369,6 +369,7 @@ def from_newick(text: str) -> PhyloTree:
             if pos >= end or body[pos] != ")":
                 raise NewickError(f"expected ')' at offset {pos}")
             pos += 1
+            parse_token()  # an internal node's label, not kept
             node = groups.pop()
         else:
             break  # the root is finished

@@ -3,15 +3,18 @@
 Two channels ride on TCP:
 
 * a text control channel: one CRLF-terminated line per frame,
-  ``COMMAND arg1 ... argN\\r\\n``, UTF-8, single-space separators; a MSG
-  frame is followed by exactly ``payload_len`` raw bytes, and its second
-  argument is that byte count in decimal;
+  ``COMMAND arg1 ... argN\\r\\n``, UTF-8, single-space separators, at
+  most MAX_LINE bytes before the CRLF; a MSG frame is followed by exactly
+  ``payload_len`` raw bytes, and its second argument is that byte count
+  in decimal;
 * a binary data channel for file transfers: chunks of a 4-byte unsigned
   big-endian length prefix plus that many opaque bytes, where a
   zero-length chunk terminates the transfer.
 
-Codecs here are pure functions over byte buffers and are safe to call
-from any number of connection handlers.
+The codecs are pure functions over byte buffers.  ``FrameBuffer`` is the
+one incremental decoder for both channels: it decodes one bytearray in
+place from an offset, and holds at most one incomplete frame or chunk
+beyond the last read.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from typing import NamedTuple
 
 MAX_PAYLOAD = 65536
 MAX_CHUNK = 65536
+# twice the longest client line, FILE_OFFER <nick> <file name> <size>, with
+# a 255-byte nick and file name (NAME_MAX) and a 20-digit size: 543 bytes
+MAX_LINE = 1024
+RECV_SIZE = 65536
 
 _CHUNK_PREFIX = struct.Struct("!I")
 
@@ -31,16 +38,16 @@ class ProtocolError(ValueError):
     """Base class for wire-format violations."""
 
 
-class ArityViolation(ProtocolError):
+class MalformedFrame(ProtocolError):
+    """Unknown command, bad arity, or an unparseable control line."""
+
+
+class ArityViolation(MalformedFrame):
     """Argument count does not match the command's arity."""
 
 
 class TokenError(ProtocolError):
     """An argument contains a space, CR, LF, or is empty."""
-
-
-class MalformedFrame(ProtocolError):
-    """Unknown command, bad arity, or an unparseable control line."""
 
 
 class PayloadLengthError(ProtocolError):
@@ -106,14 +113,7 @@ class Decoded(NamedTuple):
 
 
 class NeedMore:
-    """Sentinel: the buffer does not yet hold one complete frame."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel type: the buffer does not yet hold a complete frame or chunk."""
 
     def __repr__(self) -> str:
         return "NeedMore"
@@ -127,13 +127,15 @@ def _check_token(token: str) -> None:
         raise TokenError(f"bad token: {token!r}")
 
 
+def _check_arity(command: Command, args: tuple[str, ...]) -> None:
+    lo, hi = ARITY[command]
+    if not lo <= len(args) <= hi:
+        raise ArityViolation(f"{command.value} takes {lo}..{hi} args, got {len(args)}")
+
+
 def validate_frame(frame: Frame) -> None:
     """Raise unless the frame satisfies the arity and token rules."""
-    lo, hi = ARITY[frame.command]
-    if not lo <= len(frame.args) <= hi:
-        raise ArityViolation(
-            f"{frame.command.value} takes {lo}..{hi} args, got {len(frame.args)}"
-        )
+    _check_arity(frame.command, frame.args)
     for token in frame.args:
         _check_token(token)
     if frame.command is Command.MSG:
@@ -141,7 +143,7 @@ def validate_frame(frame: Frame) -> None:
 
 
 def _parse_payload_len(token: str) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise PayloadLengthError(f"payload length not decimal: {token!r}")
     n = int(token)
     if n > MAX_PAYLOAD:
@@ -161,18 +163,20 @@ def encode_frame(frame: Frame, payload: bytes = b"") -> bytes:
     return line + payload if payload else line
 
 
-def decode_frame(buffer: bytes) -> Decoded | NeedMore:
-    """Parse the longest complete frame at the start of ``buffer``.
+def decode_frame(raw: bytes | bytearray, start: int = 0) -> Decoded | NeedMore:
+    """Parse the frame that begins at ``raw[start]``.
 
     Returns NEED_MORE while the control line or the MSG payload is still
-    incomplete; ``consumed`` counts every byte of line plus payload.
+    incomplete; ``consumed`` counts every byte of line plus payload.  A
+    line longer than MAX_LINE raises MalformedFrame, CRLF or not.
     """
-    end = buffer.find(b"\r\n")
+    end = raw.find(b"\r\n", start, start + MAX_LINE + 2)
     if end < 0:
+        if len(raw) - start > MAX_LINE + 1:
+            raise MalformedFrame(f"control line longer than {MAX_LINE} bytes")
         return NEED_MORE
-    line = buffer[:end]
     try:
-        text = line.decode("utf-8")
+        text = raw[start:end].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"control line is not UTF-8: {exc}") from None
     tokens = text.split(" ")
@@ -183,40 +187,73 @@ def decode_frame(buffer: bytes) -> Decoded | NeedMore:
         command = Command(name)
     except ValueError:
         raise MalformedFrame(f"unknown command: {name!r}") from None
-    lo, hi = ARITY[command]
-    if not lo <= len(args) <= hi:
-        raise MalformedFrame(
-            f"{name} takes {lo}..{hi} args, got {len(args)}"
-        )
-    consumed = end + 2
+    _check_arity(command, args)
+    body = end + 2
     payload = b""
     if command is Command.MSG:
         n = _parse_payload_len(args[1])
-        if len(buffer) - consumed < n:
+        if len(raw) - body < n:
             return NEED_MORE
-        payload = buffer[consumed : consumed + n]
-        consumed += n
-    return Decoded(Frame(command, args), payload, consumed)
+        payload = bytes(raw[body : body + n])
+        body += n
+    return Decoded(Frame(command, args), payload, body - start)
 
 
 class FrameBuffer:
-    """Incremental decoder: feed raw socket bytes, iterate complete frames."""
+    """Incremental decoder of control frames, or of data chunks up to the
+    terminator with ``chunks=True``.  The decoded prefix is dropped only
+    once it is more than half the buffer, so each byte moves about once."""
 
-    def __init__(self) -> None:
+    def __init__(self, chunks: bool = False) -> None:
         self._buf = bytearray()
+        self._pos = self._mark = 0  # decoded up to; where the last feed began
+        self._chunks = chunks
+        self._ended = False
+        self._room = memoryview(bytearray(RECV_SIZE))  # recv() reads into this
 
-    def feed(self, data: bytes) -> list[Decoded]:
-        self._buf.extend(data)
+    def feed(self, data) -> list:
+        """Append ``data``; return the ``Decoded`` frames it completes, or
+        in chunk mode its ``(data, consumed)`` chunks."""
+        buf = self._buf
+        if self._pos * 2 > len(buf):
+            del buf[: self._pos]
+            self._pos = 0
+        buf += data
+        pos = self._mark = self._pos
         out = []
-        while True:
-            result = decode_frame(bytes(self._buf))
-            if result is NEED_MORE:
-                return out
-            del self._buf[: result.consumed]
-            out.append(result)
+        if not self._chunks:
+            while (result := decode_frame(buf, pos)) is not NEED_MORE:
+                out.append(result)
+                pos += result.consumed
+        else:
+            while not self._ended:
+                # a view, not a copy, released before the buffer can resize
+                with memoryview(buf)[pos:] as rest:
+                    result = decode_chunk(rest)
+                if result is NEED_MORE:
+                    break
+                out.append(result)
+                pos += result[1]
+                self._ended = not result[0]
+        self._pos = pos
+        return out
+
+    def recv(self, sock) -> list:
+        """Read once from ``sock`` and decode as ``feed`` does; raise
+        ConnectionError at EOF."""
+        n = sock.recv_into(self._room)
+        if not n:
+            raise ConnectionError("connection closed by peer")
+        return self.feed(self._room[:n])
+
+    def wire(self) -> memoryview:
+        """The bytes the last feed decoded, as received.  Release the view
+        before the next feed."""
+        return memoryview(self._buf)[self._mark : self._pos]
 
     def pending(self) -> int:
-        return len(self._buf)
+        """Bytes received but not yet decoded."""
+        return len(self._buf) - self._pos
 
 
 def encode_chunk(data: bytes) -> bytes:
@@ -226,14 +263,14 @@ def encode_chunk(data: bytes) -> bytes:
     return _CHUNK_PREFIX.pack(len(data)) + data
 
 
-def decode_chunk(buffer: bytes) -> tuple[bytes, int] | NeedMore:
-    """Parse one chunk from the buffer start: (data, consumed) or NEED_MORE."""
-    if len(buffer) < _CHUNK_PREFIX.size:
+def decode_chunk(raw: bytes) -> tuple[bytes, int] | NeedMore:
+    """Parse one chunk from the start of ``raw``: (data, consumed) or NEED_MORE."""
+    if len(raw) < _CHUNK_PREFIX.size:
         return NEED_MORE
-    (length,) = _CHUNK_PREFIX.unpack_from(buffer)
+    (length,) = _CHUNK_PREFIX.unpack_from(raw)
     if length > MAX_CHUNK:
         raise ChunkLengthError(f"chunk of {length} bytes exceeds {MAX_CHUNK}")
     total = _CHUNK_PREFIX.size + length
-    if len(buffer) < total:
+    if len(raw) < total:
         return NEED_MORE
-    return bytes(buffer[_CHUNK_PREFIX.size : total]), total
+    return bytes(raw[_CHUNK_PREFIX.size : total]), total

@@ -30,17 +30,13 @@ from .protocol import (
     Command,
     Frame,
     FrameBuffer,
-    NEED_MORE,
     ProtocolError,
-    decode_chunk,
-    encode_chunk,
     encode_frame,
 )
 from .telemetry import SessionMetrics
 
 ACCEPT_POLL_S = 0.2
 DATA_ACCEPT_TIMEOUT_S = 30.0
-RECV_SIZE = 65536
 
 
 def now_mono_ms() -> float:
@@ -275,15 +271,11 @@ class MessengerServer:
         try:
             while not self._stop.is_set():
                 try:
-                    data = conn.recv(RECV_SIZE)
+                    decoded = buffer.recv(conn)
                 except socket.timeout:
                     continue
                 except OSError:
                     break
-                if not data:
-                    break
-                try:
-                    decoded = buffer.feed(data)
                 except ProtocolError as exc:
                     self._log.write(
                         "malformed",
@@ -297,17 +289,14 @@ class MessengerServer:
                         session.metrics.count_received(consumed)
                     session = self._dispatch(conn, session, frame, payload, consumed)
                     if session is _CLOSE:
-                        return self._teardown(conn, None)
+                        return
         finally:
-            self._teardown(conn, session)
-
-    def _teardown(self, conn: socket.socket, session: SessionRecord | None):
-        if session is not None and session is not _CLOSE:
-            self._unregister(session, kind="disconnect")
-        try:
-            conn.close()
-        except OSError:
-            pass
+            if session is not None and session is not _CLOSE:
+                self._unregister(session, kind="disconnect")
+            try:
+                conn.close()
+            except OSError:
+                pass
 
     def _dispatch(self, conn, session, frame: Frame, payload: bytes, consumed: int):
         command = frame.command
@@ -467,75 +456,57 @@ class MessengerServer:
             return
         port_token = "%05d" % listener.getsockname()[1]
         listener.settimeout(DATA_ACCEPT_TIMEOUT_S)
-        recipient_conn = None
+        channels: list[socket.socket] = []
         try:
             # recipient connects first, sender second: accept order is identity
-            self._send_frame(recipient, Frame(Command.FILE_ACCEPT, (pending.sender, port_token)))
-            recipient_conn, _ = listener.accept()
-            self._send_frame(sender, Frame(Command.FILE_ACCEPT, (pending.recipient, port_token)))
-            sender_conn, _ = listener.accept()
-        except (OSError, socket.timeout):
-            self._log.write(
-                "transfer_aborted", nick=pending.sender, peer=pending.recipient,
-                detail="data channel never opened",
-            )
-            if recipient_conn is not None:
-                recipient_conn.close()
-            self._ports.release(listener)
-            return
-        try:
+            try:
+                for session, peer in ((recipient, pending.sender), (sender, pending.recipient)):
+                    self._send_frame(session, Frame(Command.FILE_ACCEPT, (peer, port_token)))
+                    channels.append(listener.accept()[0])
+            except OSError:
+                raise _TransferAborted(0, "data channel never opened") from None
+            recipient_conn, sender_conn = channels
             relayed = self._relay_chunks(sender, recipient, sender_conn, recipient_conn)
+            if relayed != pending.size:
+                raise _TransferAborted(relayed, f"size mismatch: offered {pending.size}")
+            self._log.write(
+                "transfer_complete", nick=pending.sender, peer=pending.recipient,
+                bytes_=relayed, detail=pending.filename,
+            )
         except _TransferAborted as exc:
             self._log.write(
                 "transfer_aborted", nick=pending.sender, peer=pending.recipient,
                 bytes_=exc.partial, detail=str(exc),
             )
-        else:
-            if relayed == pending.size:
-                self._log.write(
-                    "transfer_complete", nick=pending.sender, peer=pending.recipient,
-                    bytes_=relayed, detail=pending.filename,
-                )
-            else:
-                self._log.write(
-                    "transfer_aborted", nick=pending.sender, peer=pending.recipient,
-                    bytes_=relayed, detail=f"size mismatch: offered {pending.size}",
-                )
         finally:
-            for sock in (sender_conn, recipient_conn):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            for sock in channels:
+                sock.close()
             self._ports.release(listener)
 
     def _relay_chunks(self, sender, recipient, sender_conn, recipient_conn) -> int:
-        buf = bytearray()
+        """Forward each chunk, checked and counted, as the bytes received."""
+        stream = FrameBuffer(chunks=True)
         payload_total = 0
         sender_conn.settimeout(DATA_ACCEPT_TIMEOUT_S)
         while True:
-            result = decode_chunk(bytes(buf))
-            if result is NEED_MORE:
-                try:
-                    data = sender_conn.recv(RECV_SIZE)
-                except (OSError, socket.timeout) as exc:
-                    raise _TransferAborted(payload_total, f"sender read failed: {exc}")
-                if not data:
-                    raise _TransferAborted(payload_total, "sender closed mid-transfer")
-                buf.extend(data)
-                continue
-            chunk, consumed = result
-            del buf[:consumed]
-            sender.metrics.count_received(consumed)
-            wire = encode_chunk(chunk)
             try:
-                recipient_conn.sendall(wire)
+                chunks = stream.recv(sender_conn)
+            except (OSError, ProtocolError) as exc:
+                raise _TransferAborted(payload_total, f"sender read failed: {exc}")
+            if not chunks:
+                continue
+            for _, consumed in chunks:
+                sender.metrics.count_received(consumed)
+            try:
+                with stream.wire() as wire:
+                    recipient_conn.sendall(wire)
             except OSError as exc:
                 raise _TransferAborted(payload_total, f"recipient write failed: {exc}")
-            recipient.metrics.count_sent(len(wire))
-            if not chunk:
+            for chunk, consumed in chunks:
+                recipient.metrics.count_sent(consumed)
+                payload_total += len(chunk)
+            if not chunks[-1][0]:
                 return payload_total
-            payload_total += len(chunk)
 
     # --- plumbing ----------------------------------------------------------
 

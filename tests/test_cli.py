@@ -187,3 +187,4 @@ def test_serve_and_load_subprocess_round_trip(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()

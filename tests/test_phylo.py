@@ -616,6 +616,22 @@ def test_newick_rejects_non_finite_or_negative_lengths(length):
         from_newick(f"((A:1,B:1):{length},C:1,D:1);")
 
 
+@pytest.mark.parametrize(
+    "text", ["((A,B)X:1,C,D);", "((A,B)0.95:1,C,D)root;", "((A,B) X :1,C,D);"]
+)
+def test_newick_skips_internal_node_labels(text):
+    tree = from_newick(text)
+    assert tree.leaf_labels == ["A", "B", "C", "D"]
+    assert len(tree.edges()) == 5
+    assert to_newick(tree) == to_newick(from_newick("((A,B):1,C,D);"))
+
+
+@pytest.mark.parametrize("text", ["((A,B)X(Y):1,C,D);", "((A,B)X;Y:1,C,D);"])
+def test_newick_rejects_internal_label_that_is_not_a_token(text):
+    with pytest.raises(NewickError):
+        from_newick(text)
+
+
 def test_newick_accepts_zero_and_exponent_lengths():
     tree = from_newick("(A:0,B:1e-3,C:2.5E1);")
     assert to_newick(tree) == "(A:0,B:0.001,C:25);"

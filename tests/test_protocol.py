@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biokm.protocol import (
     ARITY,
+    MAX_CHUNK,
+    MAX_LINE,
+    MAX_PAYLOAD,
+    RECV_SIZE,
     ArityViolation,
     ChunkLengthError,
     Command,
@@ -13,12 +18,15 @@ from biokm.protocol import (
     MalformedFrame,
     NEED_MORE,
     PayloadLengthError,
+    ProtocolError,
     TokenError,
     decode_chunk,
     decode_frame,
     encode_chunk,
     encode_frame,
 )
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 
 
 def test_encode_login():
@@ -76,6 +84,10 @@ def test_decode_bad_payload_length():
         decode_frame(b"MSG bob nope\r\n")
     with pytest.raises(PayloadLengthError):
         decode_frame(b"MSG bob 65537\r\n")
+    with pytest.raises(PayloadLengthError):  # str.isdigit() accepts these
+        decode_frame("MSG bob \u00b2\r\n".encode())
+    with pytest.raises(PayloadLengthError):
+        decode_frame("MSG bob \u0663\r\n".encode())
 
 
 def test_decode_double_space_is_malformed():
@@ -172,3 +184,158 @@ def test_chunk_too_large():
         encode_chunk(b"x" * 65537)
     with pytest.raises(ChunkLengthError):
         decode_chunk((65537).to_bytes(4, "big") + b"x" * 65537)
+
+
+def test_decode_from_offset():
+    one = encode_frame(Frame(Command.PING, ("n1",)))
+    two = encode_frame(Frame(Command.MSG, ("bob", "2")), b"hi")
+    decoded = decode_frame(bytearray(one + two), len(one))
+    assert decoded == Decoded(Frame(Command.MSG, ("bob", "2")), b"hi", len(two))
+    assert type(decoded.payload) is bytes
+
+
+def test_line_length_bound():
+    longest = b"PING " + b"n" * (MAX_LINE - 5)
+    assert decode_frame(longest + b"\r\n").consumed == MAX_LINE + 2
+    assert decode_frame(longest + b"\r") is NEED_MORE
+    with pytest.raises(MalformedFrame):
+        decode_frame(longest + b"n\r\n")
+    with pytest.raises(MalformedFrame):
+        decode_frame(longest + b"nn")
+    # a buffered prefix does not count against the line after it
+    assert decode_frame(b"LIST\r\n" + longest + b"\r", 6) is NEED_MORE
+
+
+def test_endless_line_fails_within_one_line_of_bytes():
+    buffer = FrameBuffer()
+    with pytest.raises(MalformedFrame):
+        for _ in range(1 << 20):
+            buffer.feed(b"x")
+    assert buffer.pending() == MAX_LINE + 2
+
+
+# --- the decoder, fuzzed -------------------------------------------------------
+
+
+TOKENS = st.text(alphabet=TOKEN_CHARS, min_size=1, max_size=12)
+
+
+@st.composite
+def wire_frames(draw):
+    command = draw(st.sampled_from(list(Command)))
+    lo, hi = ARITY[command]
+    args = draw(st.lists(TOKENS, min_size=lo, max_size=hi))
+    payload = b""
+    if command is Command.MSG:
+        payload = draw(st.one_of(st.binary(max_size=200), st.just(bytes(MAX_PAYLOAD))))
+        args[1] = str(len(payload))
+    return Frame(command, tuple(args)), payload
+
+
+def splits(data, stream: bytes) -> list[bytes]:
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    return [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+
+
+class Trickle:
+    """Socket stand-in: ``recv_into`` hands out the given pieces in order,
+    at most one buffer's worth at a time, then EOF."""
+
+    def __init__(self, pieces):
+        self.pieces = [p for p in pieces if p]
+
+    def recv_into(self, room) -> int:
+        if not self.pieces:
+            return 0
+        piece = self.pieces.pop(0)
+        n = min(len(piece), len(room))
+        room[:n] = piece[:n]
+        if n < len(piece):
+            self.pieces.insert(0, piece[n:])
+        return n
+
+
+@FUZZ
+@given(st.lists(wire_frames(), max_size=12), st.data())
+def test_frames_decode_alike_under_any_split(frames, data):
+    stream = b"".join(encode_frame(f, p) for f, p in frames)
+    whole = FrameBuffer().feed(stream)
+    assert [(d.frame, d.payload) for d in whole] == frames
+    buffer, split = FrameBuffer(), []
+    for piece in splits(data, stream):
+        split.extend(buffer.feed(piece))
+        assert buffer.pending() <= MAX_LINE + 2 + MAX_PAYLOAD
+    assert split == whole
+    assert buffer.pending() == 0
+
+
+CHUNK_SIZES = st.one_of(st.integers(1, 300), st.just(MAX_CHUNK))
+
+
+@FUZZ
+@given(st.lists(CHUNK_SIZES, max_size=5), st.data())
+def test_chunks_decode_alike_under_any_split(sizes, data):
+    rng = random.Random(len(sizes))
+    chunks = [rng.randbytes(n) for n in sizes] + [b""]
+    stream = b"".join(encode_chunk(c) for c in chunks)
+    whole = FrameBuffer(chunks=True).feed(stream)
+    assert whole == [(c, 4 + len(c)) for c in chunks]
+    decoder, split, wire = FrameBuffer(chunks=True), [], b""
+    sock = Trickle(splits(data, stream))
+    while not split or split[-1][0]:
+        split.extend(decoder.recv(sock))
+        assert decoder.pending() < 4 + MAX_CHUNK
+        with decoder.wire() as view:
+            wire += view
+    assert split == whole
+    assert wire == stream  # what a relay forwards is what arrived
+
+
+def test_chunk_decoding_stops_at_the_terminator():
+    decoder = FrameBuffer(chunks=True)
+    tail = encode_chunk(b"late")
+    items = decoder.feed(encode_chunk(b"abc") + encode_chunk(b"") + tail)
+    assert items == [(b"abc", 7), (b"", 4)]
+    assert decoder.feed(b"more") == []
+    assert decoder.pending() == len(tail) + 4
+
+
+def test_recv_raises_at_eof():
+    with pytest.raises(ConnectionError):
+        FrameBuffer().recv(Trickle([]))
+
+
+FRAGMENTS = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from(
+        [b"\r\n", b" ", b"MSG a 5\r\n", b"MSG a 65536\r\n", b"LIST\r\n", b"PING x"]
+    ),
+)
+
+
+@FUZZ
+@given(st.lists(FRAGMENTS, max_size=40), st.data())
+def test_garbage_frames_raise_protocol_errors_only(fragments, data):
+    buffer = FrameBuffer()
+    try:
+        for piece in splits(data, b"".join(fragments)):
+            buffer.feed(piece)
+            assert buffer.pending() <= MAX_LINE + 2 + MAX_PAYLOAD
+    except ProtocolError:
+        pass
+
+
+PREFIXES = st.integers(0, 2**32 - 1).map(lambda n: n.to_bytes(4, "big"))
+
+
+@FUZZ
+@given(st.lists(st.one_of(PREFIXES, st.binary(max_size=300)), max_size=20), st.data())
+def test_garbage_chunks_raise_protocol_errors_only(fragments, data):
+    decoder = FrameBuffer(chunks=True)
+    sock = Trickle(splits(data, b"".join(fragments)))
+    try:
+        while True:
+            decoder.recv(sock)
+            assert decoder.pending() <= 4 + MAX_CHUNK + RECV_SIZE
+    except (ProtocolError, ConnectionError):
+        pass

@@ -133,7 +133,7 @@ def test_nick_freed_after_quit(server):
     assert wait_until(lambda: server.snapshot().live_count == 0)
     b = RawClient(server.address)
     assert b.login("alice").command is Command.OK
-    b.close()
+    a.close(), b.close()
 
 
 # --- chat relay --------------------------------------------------------------
@@ -252,14 +252,15 @@ def test_message_requires_login(server):
 # --- file transfer -----------------------------------------------------------
 
 
-def run_transfer(server, payload: bytes, abort_after: int | None = None):
-    """Drive one alice -> bob transfer; returns (received bytes, clients)."""
+def open_transfer(server, size: int):
+    """Broker one alice -> bob transfer of ``size`` bytes; returns both
+    control clients and both data sockets."""
     a, b = RawClient(server.address), RawClient(server.address)
     a.login("alice")
     b.login("bob")
-    a.send(Frame(Command.FILE_OFFER, ("bob", "f.bin", str(len(payload)))))
+    a.send(Frame(Command.FILE_OFFER, ("bob", "f.bin", str(size))))
     offer = b.read_frame().frame
-    assert offer == Frame(Command.FILE_OFFER, ("alice", "f.bin", str(len(payload))))
+    assert offer == Frame(Command.FILE_OFFER, ("alice", "f.bin", str(size)))
     b.send(Frame(Command.FILE_ACCEPT, ("alice", "00000")))
     accept_b = b.read_frame().frame
     assert accept_b.command is Command.FILE_ACCEPT
@@ -269,7 +270,12 @@ def run_transfer(server, payload: bytes, abort_after: int | None = None):
     accept_a = a.read_frame().frame
     assert accept_a == Frame(Command.FILE_ACCEPT, ("bob", "%05d" % port))
     data_a = socket.create_connection((server.config.host, port), timeout=5.0)
+    return a, b, data_a, data_b
 
+
+def run_transfer(server, payload: bytes, abort_after: int | None = None):
+    """Drive one alice -> bob transfer; returns (received bytes, clients)."""
+    a, b, data_a, data_b = open_transfer(server, len(payload))
     sent = 0
     aborted = False
     for offset in range(0, len(payload), 65536):
@@ -345,18 +351,38 @@ def test_100kib_transfer_conserves_bytes(server, tmp_path):
     a.close(), b.close()
 
 
+def test_relay_forwards_chunks_as_sent_and_counts_each(server):
+    # three chunks and the terminator in one write, so one read from the
+    # sender can hold several chunks; each is still counted on its own
+    chunks = [bytes(range(256)) * 256, b"m" * 1000, b"e", b""]
+    wire = b"".join(encode_chunk(c) for c in chunks)
+    a, b, data_a, data_b = open_transfer(server, 65536 + 1000 + 1)
+    port = data_a.getpeername()[1]
+    data_a.sendall(wire)
+    received = bytearray()
+    while data := data_b.recv(65536):  # the server closes after the terminator
+        received += data
+    data_a.close(), data_b.close()
+    assert received == wire
+    alice_in = [b"LOGIN alice\r\n", b"FILE_OFFER bob f.bin 66537\r\n"]
+    alice_out = [b"OK\r\n", b"FILE_ACCEPT bob %05d\r\n" % port]
+    bob_in = [b"LOGIN bob\r\n", b"FILE_ACCEPT alice 00000\r\n"]
+    bob_out = [
+        b"OK\r\n", b"FILE_OFFER alice f.bin 66537\r\n", b"FILE_ACCEPT alice %05d\r\n" % port
+    ]
+    alice, bob = server.snapshot().sessions["alice"], server.snapshot().sessions["bob"]
+    assert (alice.packets_received, alice.bytes_received) == (
+        2 + 4, len(b"".join(alice_in)) + len(wire)
+    )
+    assert (bob.packets_sent, bob.bytes_sent) == (3 + 4, len(b"".join(bob_out)) + len(wire))
+    assert (alice.packets_sent, alice.bytes_sent) == (2, len(b"".join(alice_out)))
+    assert (bob.packets_received, bob.bytes_received) == (2, len(b"".join(bob_in)))
+    a.close(), b.close()
+
+
 def test_short_transfer_flagged_as_size_mismatch(server, tmp_path):
     # terminator after 5 of 10 offered bytes: relayed != offered
-    a, b = RawClient(server.address), RawClient(server.address)
-    a.login("alice")
-    b.login("bob")
-    a.send(Frame(Command.FILE_OFFER, ("bob", "f.bin", "10")))
-    b.read_frame()
-    b.send(Frame(Command.FILE_ACCEPT, ("alice", "00000")))
-    port = int(b.read_frame().frame.args[1])
-    data_b = socket.create_connection((server.config.host, port), timeout=5.0)
-    a.read_frame()
-    data_a = socket.create_connection((server.config.host, port), timeout=5.0)
+    a, b, data_a, data_b = open_transfer(server, 10)
     data_a.sendall(encode_chunk(b"12345") + encode_chunk(b""))
     data_a.close()
     assert wait_until(
@@ -400,6 +426,24 @@ def test_malformed_frame_isolated_to_offender(server):
     # bob is unaffected
     b.send(Frame(Command.LIST))
     assert b.read_frame().frame.command is Command.OK
+    assert wait_until(lambda: server.snapshot().live_count == 1)
+    a.close(), b.close()
+
+
+def test_endless_line_is_refused_and_disconnected(server):
+    # a peer that never sends CRLF must not grow the server's buffer
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    try:
+        a.sock.sendall(b"x" * (1 << 20))
+    except OSError:
+        pass  # the server may close before it has read all of it
+    assert a.read_frame().frame == Frame(Command.ERR, ("MALFORMED",))
+    with pytest.raises(ConnectionError):  # EOF or reset, not a timeout
+        a.read_frame()
+    b.send(Frame(Command.LIST))
+    assert b.read_frame().frame == Frame(Command.OK, ("bob",))
     assert wait_until(lambda: server.snapshot().live_count == 1)
     a.close(), b.close()
 
