@@ -4,8 +4,8 @@ Two channels ride on TCP:
 
 * a text control channel: one CRLF-terminated line per frame,
   ``COMMAND arg1 ... argN\\r\\n``, UTF-8, single-space separators, at
-  most MAX_LINE bytes before the CRLF; a MSG frame is followed by exactly
-  ``payload_len`` raw bytes, and its second argument is that byte count
+  most MAX_LINE bytes before the CRLF; a MSG frame is followed by
+  exactly as many raw bytes as its second argument gives, a byte count
   in decimal;
 * a binary data channel for file transfers: chunks of a 4-byte unsigned
   big-endian length prefix plus that many opaque bytes, where a
@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 MAX_PAYLOAD = 65536
 MAX_CHUNK = 65536
-# twice the longest client line, FILE_OFFER <nick> <file name> <size>, with
-# a 255-byte nick and file name (NAME_MAX) and a 20-digit size: 543 bytes
+MAX_NAME = 255  # bytes in a nick or a file name, as NAME_MAX
+# twice the longest line the server relays, FILE_OFFER <nick> <file name>
+# <size>, with MAX_NAME-byte names and a 20-digit size: 543 bytes
 MAX_LINE = 1024
 RECV_SIZE = 65536
 
@@ -95,16 +96,6 @@ class Frame:
     command: Command
     args: tuple[str, ...] = ()
 
-    @property
-    def payload_len(self) -> int:
-        """Byte count of the trailing payload; nonzero only for MSG."""
-        if self.command is Command.MSG and len(self.args) == 2:
-            try:
-                return int(self.args[1])
-            except ValueError:
-                return 0
-        return 0
-
 
 class Decoded(NamedTuple):
     frame: Frame
@@ -133,13 +124,13 @@ def _check_arity(command: Command, args: tuple[str, ...]) -> None:
         raise ArityViolation(f"{command.value} takes {lo}..{hi} args, got {len(args)}")
 
 
-def validate_frame(frame: Frame) -> None:
-    """Raise unless the frame satisfies the arity and token rules."""
+def validate_frame(frame: Frame) -> int:
+    """Raise unless the frame satisfies the arity and token rules; return
+    the byte count of its payload, nonzero only for MSG."""
     _check_arity(frame.command, frame.args)
     for token in frame.args:
         _check_token(token)
-    if frame.command is Command.MSG:
-        _parse_payload_len(frame.args[1])
+    return _parse_payload_len(frame.args[1]) if frame.command is Command.MSG else 0
 
 
 def _parse_payload_len(token: str) -> int:
@@ -153,11 +144,9 @@ def _parse_payload_len(token: str) -> int:
 
 def encode_frame(frame: Frame, payload: bytes = b"") -> bytes:
     """Serialize a frame (and its MSG payload) to wire bytes."""
-    validate_frame(frame)
-    if len(payload) != frame.payload_len:
-        raise PayloadLengthError(
-            f"payload is {len(payload)} bytes, frame declares {frame.payload_len}"
-        )
+    declared = validate_frame(frame)
+    if len(payload) != declared:
+        raise PayloadLengthError(f"payload is {len(payload)} bytes, frame declares {declared}")
     parts = [frame.command.value, *frame.args]
     line = " ".join(parts).encode("utf-8") + b"\r\n"
     return line + payload if payload else line
@@ -209,7 +198,8 @@ class FrameBuffer:
         self._pos = self._mark = 0  # decoded up to; where the last feed began
         self._chunks = chunks
         self._ended = False
-        self._room = memoryview(bytearray(RECV_SIZE))  # recv() reads into this
+        # chunk reads land in one buffer; control connections hold none idle
+        self._room = memoryview(bytearray(RECV_SIZE)) if chunks else None
 
     def feed(self, data) -> list:
         """Append ``data``; return the ``Decoded`` frames it completes, or
@@ -241,10 +231,10 @@ class FrameBuffer:
     def recv(self, sock) -> list:
         """Read once from ``sock`` and decode as ``feed`` does; raise
         ConnectionError at EOF."""
-        n = sock.recv_into(self._room)
-        if not n:
+        data = self._room[: sock.recv_into(self._room)] if self._room else sock.recv(RECV_SIZE)
+        if not data:
             raise ConnectionError("connection closed by peer")
-        return self.feed(self._room[:n])
+        return self.feed(data)
 
     def wire(self) -> memoryview:
         """The bytes the last feed decoded, as received.  Release the view

@@ -27,10 +27,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .protocol import (
+    MAX_LINE,
+    MAX_NAME,
     Command,
     Frame,
     FrameBuffer,
     ProtocolError,
+    encode_chunk,
     encode_frame,
 )
 from .telemetry import SessionMetrics
@@ -277,11 +280,8 @@ class MessengerServer:
                 except OSError:
                     break
                 except ProtocolError as exc:
-                    self._log.write(
-                        "malformed",
-                        nick=session.nick if session else "",
-                        detail=str(exc),
-                    )
+                    nick = session.nick if session else ""
+                    self._log.write("malformed", nick=nick, detail=str(exc))
                     self._send_raw(conn, session, Frame(Command.ERR, ("MALFORMED",)))
                     break
                 for frame, payload, consumed in decoded:
@@ -321,6 +321,8 @@ class MessengerServer:
             with self._registry_lock:
                 nicks = ",".join(sorted(self._registry))
             reply = Frame(Command.OK, (nicks,) if nicks else ())
+            if len(nicks.encode()) > MAX_LINE - 3:  # "OK " and every nick in one line
+                reply = Frame(Command.ERR, ("LIST_TOO_LONG",))
             self._send_frame(session, reply)
             self._log.write("list", nick=session.nick)
         elif command is Command.FILE_OFFER:
@@ -340,9 +342,9 @@ class MessengerServer:
             self._send_frame(session, Frame(Command.ERR, ("ALREADY_LOGGED_IN",)))
             return session
         with self._registry_lock:
-            if nick in self._registry:
-                record = None
-            else:
+            refusal = ("BAD_NICK" if len(nick.encode()) > MAX_NAME
+                       else "NICK_TAKEN" if nick in self._registry else None)
+            if refusal is None:
                 record = SessionRecord(
                     nick=nick,
                     connect_mono_ms=now_mono_ms(),
@@ -352,8 +354,8 @@ class MessengerServer:
                 )
                 self._registry[nick] = record
                 self._logins += 1
-        if record is None:
-            self._send_raw(conn, None, Frame(Command.ERR, ("NICK_TAKEN",)))
+        if refusal is not None:
+            self._send_raw(conn, None, Frame(Command.ERR, (refusal,)))
             self._log.write("login_rejected", nick=nick)
             return None
         record.metrics.count_received(consumed)  # the LOGIN frame itself
@@ -402,13 +404,14 @@ class MessengerServer:
             self._send_frame(sender, Frame(Command.ERR, ("NO_SUCH_USER",)))
             self._log.write("message_failed", nick=sender.nick, peer=recipient_nick)
             return
-        try:
-            size = int(size_token)
-        except ValueError:
-            size = -1
-        if size < 0:
+        if len(filename.encode()) > MAX_NAME:
+            self._send_frame(sender, Frame(Command.ERR, ("BAD_NAME",)))
+            return
+        # decimal, at most 20 digits: any 64-bit size
+        if not (size_token.isascii() and size_token.isdigit() and len(size_token) <= 20):
             self._send_frame(sender, Frame(Command.ERR, ("BAD_SIZE",)))
             return
+        size = int(size_token)
         with self._pending_lock:
             self._pending.append(
                 _PendingTransfer(sender.nick, recipient_nick, filename, size)
@@ -466,12 +469,10 @@ class MessengerServer:
             except OSError:
                 raise _TransferAborted(0, "data channel never opened") from None
             recipient_conn, sender_conn = channels
-            relayed = self._relay_chunks(sender, recipient, sender_conn, recipient_conn)
-            if relayed != pending.size:
-                raise _TransferAborted(relayed, f"size mismatch: offered {pending.size}")
+            self._relay_chunks(sender, recipient, sender_conn, recipient_conn, pending.size)
             self._log.write(
                 "transfer_complete", nick=pending.sender, peer=pending.recipient,
-                bytes_=relayed, detail=pending.filename,
+                bytes_=pending.size, detail=pending.filename,
             )
         except _TransferAborted as exc:
             self._log.write(
@@ -480,33 +481,48 @@ class MessengerServer:
             )
         finally:
             for sock in channels:
-                sock.close()
+                try:
+                    sock.close()
+                except OSError:
+                    pass
             self._ports.release(listener)
 
-    def _relay_chunks(self, sender, recipient, sender_conn, recipient_conn) -> int:
-        """Forward each chunk, checked and counted, as the bytes received."""
+    def _relay_chunks(self, sender, recipient, sender_conn, recipient_conn, size: int):
+        """Forward each chunk, checked and counted, as the bytes received.
+        The recipient's terminator is the server's own, written only once
+        the offered ``size`` has come through."""
         stream = FrameBuffer(chunks=True)
-        payload_total = 0
+        relayed = 0
         sender_conn.settimeout(DATA_ACCEPT_TIMEOUT_S)
         while True:
             try:
                 chunks = stream.recv(sender_conn)
             except (OSError, ProtocolError) as exc:
-                raise _TransferAborted(payload_total, f"sender read failed: {exc}")
+                eof = type(exc) is ConnectionError  # recv's EOF; a reset is a subclass
+                detail = "sender closed mid-transfer" if eof else f"sender read failed: {exc}"
+                raise _TransferAborted(relayed, detail) from None
             if not chunks:
                 continue
             for _, consumed in chunks:
                 sender.metrics.count_received(consumed)
+            ended = not chunks[-1][0]
+            if ended:
+                chunks.pop()  # the sender's terminator
+                end = encode_chunk(b"") if relayed + sum(len(c) for c, _ in chunks) == size else b""
             try:
                 with stream.wire() as wire:
-                    recipient_conn.sendall(wire)
+                    # one write, so the terminator never trails in a segment of its own
+                    recipient_conn.sendall(b"".join((wire[:-4], end)) if ended else wire)
             except OSError as exc:
-                raise _TransferAborted(payload_total, f"recipient write failed: {exc}")
+                raise _TransferAborted(relayed, f"recipient write failed: {exc}")
             for chunk, consumed in chunks:
                 recipient.metrics.count_sent(consumed)
-                payload_total += len(chunk)
-            if not chunks[-1][0]:
-                return payload_total
+                relayed += len(chunk)
+            if ended:
+                if not end:
+                    raise _TransferAborted(relayed, f"size mismatch: offered {size}")
+                recipient.metrics.count_sent(len(end))
+                return
 
     # --- plumbing ----------------------------------------------------------
 

@@ -238,21 +238,24 @@ def splits(data, stream: bytes) -> list[bytes]:
 
 
 class Trickle:
-    """Socket stand-in: ``recv_into`` hands out the given pieces in order,
-    at most one buffer's worth at a time, then EOF."""
+    """Socket stand-in: ``recv`` and ``recv_into`` hand out the given pieces
+    in order, at most one buffer's worth at a time, then EOF."""
 
     def __init__(self, pieces):
         self.pieces = [p for p in pieces if p]
 
-    def recv_into(self, room) -> int:
+    def recv(self, size: int) -> bytes:
         if not self.pieces:
-            return 0
+            return b""
         piece = self.pieces.pop(0)
-        n = min(len(piece), len(room))
-        room[:n] = piece[:n]
-        if n < len(piece):
-            self.pieces.insert(0, piece[n:])
-        return n
+        if size < len(piece):
+            self.pieces.insert(0, piece[size:])
+        return piece[:size]
+
+    def recv_into(self, room) -> int:
+        piece = self.recv(len(room))
+        room[: len(piece)] = piece
+        return len(piece)
 
 
 @FUZZ
@@ -300,9 +303,10 @@ def test_chunk_decoding_stops_at_the_terminator():
     assert decoder.pending() == len(tail) + 4
 
 
-def test_recv_raises_at_eof():
+@pytest.mark.parametrize("chunks", [False, True])
+def test_recv_raises_at_eof(chunks):
     with pytest.raises(ConnectionError):
-        FrameBuffer().recv(Trickle([]))
+        FrameBuffer(chunks=chunks).recv(Trickle([]))
 
 
 FRAGMENTS = st.one_of(

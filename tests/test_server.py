@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from biokm.protocol import (
+    MAX_NAME,
     Command,
     Frame,
     FrameBuffer,
@@ -391,6 +392,12 @@ def test_short_transfer_flagged_as_size_mismatch(server, tmp_path):
             for e in read_events(tmp_path / "events.jsonl")
         )
     )
+    # the recipient gets the data but no terminator, so it cannot take the
+    # short file for a whole one
+    received = bytearray()
+    while data := data_b.recv(65536):
+        received += data
+    assert received == encode_chunk(b"12345")
     data_b.close()
     a.close(), b.close()
 
@@ -401,6 +408,7 @@ def test_aborted_transfer_keeps_control_channels(server, tmp_path):
     assert wait_until(
         lambda: any(
             e["kind"] == "transfer_aborted" and e["bytes"] == 65536
+            and e["detail"] == "sender closed mid-transfer"
             for e in read_events(tmp_path / "events.jsonl")
         )
     )
@@ -446,6 +454,47 @@ def test_endless_line_is_refused_and_disconnected(server):
     assert b.read_frame().frame == Frame(Command.OK, ("bob",))
     assert wait_until(lambda: server.snapshot().live_count == 1)
     a.close(), b.close()
+
+
+def test_long_names_are_bounded_so_relayed_lines_decode(server):
+    # the longest lines the server relays carry a MAX_NAME-byte nick
+    nick, name = "a" * MAX_NAME, "f" * MAX_NAME
+    a, b = RawClient(server.address), RawClient(server.address)
+    assert a.login(nick).command is Command.OK
+    b.login("bob")
+    a.send(Frame(Command.INVITE, ("bob",)))
+    assert b.read_frame().frame == Frame(Command.INVITE, (nick,))
+    a.send(Frame(Command.FILE_OFFER, ("bob", name, "9" * 20)))
+    assert b.read_frame().frame == Frame(Command.FILE_OFFER, (nick, name, "9" * 20))
+    for args, code in [
+        (("bob", name + "f", "1"), "BAD_NAME"),
+        (("bob", "\u00e9" * 128, "1"), "BAD_NAME"),  # 128 characters, 256 bytes
+        (("bob", "f", "1" * 21), "BAD_SIZE"),
+        (("bob", "f", "+1"), "BAD_SIZE"),
+    ]:
+        a.send(Frame(Command.FILE_OFFER, args))
+        assert a.read_frame().frame == Frame(Command.ERR, (code,))
+    c = RawClient(server.address)
+    assert c.login(nick + "a") == Frame(Command.ERR, ("BAD_NICK",))
+    assert c.login("\u00e9" * 128) == Frame(Command.ERR, ("BAD_NICK",))
+    assert c.login("carol").command is Command.OK
+    assert server.snapshot().live_count == 3
+    a.close(), b.close(), c.close()
+
+
+def test_list_reply_longer_than_a_line_is_refused(server):
+    clients = [RawClient(server.address) for _ in range(4)]
+    for i, c in enumerate(clients):
+        assert c.login(str(i) * MAX_NAME).command is Command.OK
+    clients[0].send(Frame(Command.LIST))
+    assert clients[0].read_frame().frame == Frame(Command.ERR, ("LIST_TOO_LONG",))
+    clients[3].send(Frame(Command.QUIT))  # three such nicks fit in one line
+    assert wait_until(lambda: server.snapshot().live_count == 3)
+    clients[0].send(Frame(Command.LIST))
+    nicks = ",".join(str(i) * MAX_NAME for i in range(3))
+    assert clients[0].read_frame().frame == Frame(Command.OK, (nicks,))
+    for c in clients:
+        c.close()
 
 
 def test_registry_consistency_and_monotonic_timing(server):
