@@ -8,99 +8,74 @@ classical M/M/1 Little's law analytics.  Topology comes along for the
 ride: per-client round trips become a distance matrix, Neighbor-Joining
 turns it into a tree, and a binary link/path filter matrix answers
 failure-robustness queries.
+
+Every name in ``__all__`` is resolved from its home module on first
+use, so ``import biokm`` imports no submodule, and only the topology
+modules (``phylo``, ``route_filter``) load numpy.
 """
 
-from .loadgen import Mode as ScenarioMode, ScenarioSpec, generate_schedule, run_scenario
-from .phylo import (
-    DistanceMatrix,
-    PhyloTree,
-    from_newick,
-    net_divergence,
-    nj_build,
-    star_distances,
-    to_newick,
-)
-from .queueing import (
-    QueueStats,
-    SimulationResult,
-    SteadyStateRow,
-    UnstableQueue,
-    mm1_stats,
-    simulate_mm1,
-    steady_state_table,
-)
-from .report import (
-    ComparisonReport,
-    Mode as ReportMode,
-    PipelineResult,
-    compare,
-    full_pipeline,
-)
-from .route_filter import (
-    FilterMatrix,
-    build_filter,
-    relation_domain,
-    relation_range,
-    surviving_paths,
-    transpose,
-)
-from .server import MessengerServer, ServerConfig, start_server
-from .telemetry import (
-    AggregateResponse,
-    RunMetrics,
-    SessionMetrics,
-    aggregate_response,
-    analyze_capture,
-    average_runs,
-    capacity_bps,
-    rates,
-    synthesize_capture,
-    throughput_bps,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateResponse",
-    "ComparisonReport",
-    "DistanceMatrix",
-    "FilterMatrix",
-    "MessengerServer",
-    "PhyloTree",
-    "PipelineResult",
-    "QueueStats",
-    "ReportMode",
-    "RunMetrics",
-    "ScenarioMode",
-    "ScenarioSpec",
-    "ServerConfig",
-    "SessionMetrics",
-    "SimulationResult",
-    "SteadyStateRow",
-    "UnstableQueue",
-    "aggregate_response",
-    "analyze_capture",
-    "average_runs",
-    "build_filter",
-    "capacity_bps",
-    "compare",
-    "from_newick",
-    "full_pipeline",
-    "generate_schedule",
-    "mm1_stats",
-    "net_divergence",
-    "nj_build",
-    "rates",
-    "relation_domain",
-    "relation_range",
-    "run_scenario",
-    "simulate_mm1",
-    "star_distances",
-    "start_server",
-    "steady_state_table",
-    "surviving_paths",
-    "synthesize_capture",
-    "throughput_bps",
-    "to_newick",
-    "transpose",
-]
+# exported name -> home module, or "module.attribute" where the name differs
+_EXPORTS = {
+    "ScenarioMode": "loadgen.Mode",
+    "ScenarioSpec": "loadgen",
+    "generate_schedule": "loadgen",
+    "run_scenario": "loadgen",
+    "DistanceMatrix": "phylo",
+    "PhyloTree": "phylo",
+    "from_newick": "phylo",
+    "net_divergence": "phylo",
+    "nj_build": "phylo",
+    "star_distances": "phylo",
+    "to_newick": "phylo",
+    "QueueStats": "queueing",
+    "SimulationResult": "queueing",
+    "SteadyStateRow": "queueing",
+    "UnstableQueue": "queueing",
+    "mm1_stats": "queueing",
+    "simulate_mm1": "queueing",
+    "steady_state_table": "queueing",
+    "ComparisonReport": "report",
+    "ReportMode": "report.Mode",
+    "PipelineResult": "report",
+    "compare": "report",
+    "full_pipeline": "report",
+    "FilterMatrix": "route_filter",
+    "build_filter": "route_filter",
+    "relation_domain": "route_filter",
+    "relation_range": "route_filter",
+    "surviving_paths": "route_filter",
+    "transpose": "route_filter",
+    "MessengerServer": "server",
+    "ServerConfig": "server",
+    "start_server": "server",
+    "AggregateResponse": "telemetry",
+    "RunMetrics": "telemetry",
+    "SessionMetrics": "telemetry",
+    "aggregate_response": "telemetry",
+    "analyze_capture": "telemetry",
+    "average_runs": "telemetry",
+    "capacity_bps": "telemetry",
+    "rates": "telemetry",
+    "synthesize_capture": "telemetry",
+    "throughput_bps": "telemetry",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module, _, attribute = _EXPORTS[name].partition(".")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), attribute or name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

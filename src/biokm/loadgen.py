@@ -205,10 +205,6 @@ def generate_schedule(spec: ScenarioSpec) -> Schedule:
     return Schedule(events=tuple(events), end_ms=end, nicks=tuple(nicks))
 
 
-def _body(seed: int, nick: str, kind: str, index: int, size: int) -> bytes:
-    return random.Random(f"{seed}:{nick}:{kind}:{index}").randbytes(size)
-
-
 class _Run:
     """What the clients of one run share: one condition that guards every
     client's state, and the run's first failure, which stops them all."""
@@ -239,6 +235,8 @@ class _ScriptedClient:
         self.rtt_ms: float | None = None
         self.departure_epoch_ms: float | None = None
         self.error: Exception | None = None
+        # message bodies in index order, the order this client sends them in
+        self._msg_bodies = random.Random(f"{spec.seed}:{nick}:msg")
 
         self._sock: socket.socket | None = None
         self._decoder = FrameBuffer()  # the control channel, RTT probes included
@@ -333,7 +331,7 @@ class _ScriptedClient:
 
     def _do_message(self, event: ScheduleEvent):
         self._await_peer(event.peer)
-        body = _body(self.spec.seed, self.nick, "msg", event.index, event.size)
+        body = self._msg_bodies.randbytes(event.size)
         self._send(Frame(Command.MSG, (event.peer, str(len(body)))), body)
 
     def _do_transfer(self, event: ScheduleEvent):
@@ -347,9 +345,9 @@ class _ScriptedClient:
             self._outgoing_peer = event.peer
             self._outgoing_bound = False
             self._outgoing_done = False
-            self._outgoing_body = _body(
-                self.spec.seed, self.nick, "file", event.index, event.size
-            )
+            self._outgoing_body = random.Random(
+                f"{self.spec.seed}:{self.nick}:file:{event.index}"
+            ).randbytes(event.size)
         self._send(
             Frame(
                 Command.FILE_OFFER,

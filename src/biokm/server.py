@@ -169,7 +169,8 @@ class MessengerServer:
         self.config = config
         self._listener: socket.socket | None = None
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._threads: list[threading.Thread] = []  # live ones, for stop()
+        self._threads_lock = threading.Lock()
         self._registry: dict[str, SessionRecord] = {}
         self._registry_lock = threading.RLock()
         self._history: list[SessionRecord] = []
@@ -198,9 +199,7 @@ class MessengerServer:
         self.start_mono_ms = now_mono_ms()
         self.start_epoch_ms = now_epoch_ms()
         self._log.write("server_start", detail=f"port={self.port}")
-        thread = threading.Thread(target=self._accept_loop, daemon=True, name="biokm-accept")
-        thread.start()
-        self._threads.append(thread)
+        self._spawn(self._accept_loop, (), "biokm-accept")
         return self
 
     def stop(self):
@@ -214,10 +213,24 @@ class MessengerServer:
                 record.conn.close()
             except OSError:
                 pass
-        for thread in self._threads:
+        # a thread joined here may have started others, so pop until none is left
+        while True:
+            with self._threads_lock:
+                if not self._threads:
+                    break
+                thread = self._threads.pop()
             thread.join(timeout=5.0)
         self._log.write("server_stop")
         self._log.close()
+
+    def _spawn(self, target, args: tuple, name: str) -> None:
+        """Start a daemon thread for stop() to join; finished ones are dropped
+        here, so the list holds the live threads, not one per connection."""
+        thread = threading.Thread(target=target, args=args, daemon=True, name=name)
+        thread.start()
+        with self._threads_lock:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
 
     def __enter__(self) -> "MessengerServer":
         return self
@@ -260,12 +273,7 @@ class MessengerServer:
                 continue
             except OSError:
                 break
-            thread = threading.Thread(
-                target=self._handle_conn, args=(conn, addr), daemon=True,
-                name=f"biokm-conn-{addr[1]}",
-            )
-            thread.start()
-            self._threads.append(thread)
+            self._spawn(self._handle_conn, (conn, addr), f"biokm-conn-{addr[1]}")
 
     def _handle_conn(self, conn: socket.socket, addr):
         conn.settimeout(ACCEPT_POLL_S)
@@ -438,12 +446,9 @@ class MessengerServer:
             self._send_frame(recipient, Frame(Command.ERR, ("NO_SUCH_OFFER",)))
             return
         self._log.write("file_accept", nick=recipient.nick, peer=sender_nick)
-        thread = threading.Thread(
-            target=self._run_transfer, args=(pending,), daemon=True,
-            name=f"biokm-xfer-{pending.sender}-{pending.recipient}",
+        self._spawn(
+            self._run_transfer, (pending,), f"biokm-xfer-{pending.sender}-{pending.recipient}"
         )
-        thread.start()
-        self._threads.append(thread)
 
     def _run_transfer(self, pending: _PendingTransfer):
         with self._registry_lock:

@@ -65,6 +65,17 @@ def test_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
+def test_mode_choices_match_the_enums(capsys):
+    from biokm import cli, loadgen, report
+
+    assert list(cli._LOAD_MODES) == [m.value for m in loadgen.Mode]
+    assert list(cli._REPORT_MODES) == [m.value for m in report.Mode]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["load", "--server", "127.0.0.1:1", "--out", "x.jsonl", "--mode", "bogus"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

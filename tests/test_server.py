@@ -84,6 +84,25 @@ def test_fresh_server_has_no_sessions(server):
     assert snap.logins == 0
 
 
+def test_finished_threads_are_dropped_and_live_ones_joined(server):
+    for i in range(100):
+        client = RawClient(server.address)
+        assert client.login(f"s{i}").command is Command.OK
+        client.send(Frame(Command.QUIT))
+        assert client.sock.recv(65536) == b""  # the server's EOF after QUIT
+        client.close()
+    assert len(server._threads) <= 10  # 101 if none were dropped
+    live = [RawClient(server.address) for _ in range(3)]
+    for i, client in enumerate(live):
+        assert client.login(f"live{i}").command is Command.OK
+    threads = list(server._threads)
+    assert len(threads) >= 4  # the accept thread and one per live connection
+    server.stop()
+    assert not [t for t in threads if t.is_alive()]
+    for client in live:
+        client.close()
+
+
 def test_same_port_twice_fails(server):
     with pytest.raises(OSError):
         start_server(ServerConfig(control_port=server.port))
