@@ -2,7 +2,8 @@
 
 Sweeps the closed-form quantities over a range of loads, prints the
 steady-state probability table at one operating point, and cross-checks
-the analytics with the event-driven simulator.
+the analytics with the simulator, which runs Lindley's FIFO recursion
+over seeded exponential draws.
 """
 
 from biokm.queueing import mm1_stats, simulate_mm1, steady_state_table

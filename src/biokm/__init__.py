@@ -10,8 +10,8 @@ turns it into a tree, and a binary link/path filter matrix answers
 failure-robustness queries.
 
 Every name in ``__all__`` is resolved from its home module on first
-use, so ``import biokm`` imports no submodule, and only the topology
-modules (``phylo``, ``route_filter``) load numpy.
+use, so ``import biokm`` imports no submodule.  Only the topology
+modules (``phylo``, ``route_filter``) and ``simulate_mm1`` load numpy.
 """
 
 import importlib

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a module reports an error, 2 on usage
 errors (argparse's convention).  Each command imports the modules it
-drives, so only ``tree`` and ``filter`` load numpy.
+drives, so only ``tree``, ``filter`` and ``queue --simulate`` load numpy.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Single-server queue analytics and a discrete-event cross-check.
+"""Single-server queue analytics and a simulation cross-check.
 
 For a stable M/M/1 queue (Poisson arrivals at rate lambda, exponential
 service at rate mu, lambda < mu) the steady-state quantities are
@@ -12,14 +12,14 @@ service at rate mu, lambda < mu) the steady-state quantities are
     Ws  = Ls / lambda
     pi_j = rho**j * (1 - rho)      probability of j packets in system
 
-``simulate_mm1`` is an independent event-driven simulator of the same
-queue, used to validate the closed forms empirically.
+``simulate_mm1`` is an independent simulator of the same queue, Lindley's
+FIFO recursion over seeded draws, used to validate the closed forms.
 """
 
 from __future__ import annotations
 
 import csv
-import random
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,16 +46,22 @@ class QueueStats:
     idle: float
 
 
+def _check_rates(arrival_rate: float, service_rate: float) -> None:
+    if not (math.isfinite(arrival_rate) and math.isfinite(service_rate)):
+        raise ValueError(f"rates must be finite, got {arrival_rate} and {service_rate}")
+    if service_rate <= 0:
+        raise NonPositiveServiceRate(f"service rate must be positive, got {service_rate}")
+    if arrival_rate < 0:
+        raise ValueError(f"arrival rate must be nonnegative, got {arrival_rate}")
+
+
 def mm1_stats(arrival_rate: float, service_rate: float) -> QueueStats:
     """Closed-form steady-state quantities of the M/M/1 queue.
 
     Waiting times are defined as 0 when the arrival rate is 0, which
     keeps L = lambda * W valid in the empty-system limit.
     """
-    if service_rate <= 0:
-        raise NonPositiveServiceRate(f"service rate must be positive, got {service_rate}")
-    if arrival_rate < 0:
-        raise ValueError(f"arrival rate must be nonnegative, got {arrival_rate}")
+    _check_rates(arrival_rate, service_rate)
     if arrival_rate >= service_rate:
         raise UnstableQueue(
             f"arrival rate {arrival_rate} >= service rate {service_rate}"
@@ -102,8 +108,8 @@ def steady_state_table(
     Emission stops before the first row whose probability falls below
     ``epsilon``, or after row ``j_max``, whichever comes first.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     stats = mm1_stats(arrival_rate, service_rate)
@@ -135,57 +141,26 @@ def simulate_mm1(
     horizon_s: float,
     seed: int,
 ) -> SimulationResult:
-    """Event-driven single-FIFO-server simulation over a fixed horizon.
+    """Single-FIFO-server simulation over a fixed horizon.
 
-    Exponential interarrival and service draws come from one seeded
-    generator, so results are deterministic per seed.  The sojourn mean
-    covers packets that departed within the horizon.
+    Draws come from ``numpy.random.default_rng(seed)``: deterministic per
+    seed.  At most 2**16 arrivals are held at once, so memory is bounded.
+    The sojourn mean covers packets that departed within the horizon.
     """
-    if service_rate <= 0:
-        raise NonPositiveServiceRate(f"service rate must be positive, got {service_rate}")
-    if arrival_rate < 0:
-        raise ValueError(f"arrival rate must be nonnegative, got {arrival_rate}")
-    if horizon_s <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon_s}")
+    _check_rates(arrival_rate, service_rate)
+    if not (math.isfinite(horizon_s) and horizon_s > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon_s}")
+    import numpy as np
 
-    rng = random.Random(seed)
-    inf = float("inf")
-    now = 0.0
-    next_arrival = rng.expovariate(arrival_rate) if arrival_rate > 0 else inf
-    next_departure = inf
-    waiting: list[float] = []  # arrival stamps, FIFO
-    n = 0
-    area = 0.0
-    busy = 0.0
-    arrivals = departures = 0
-    sojourn_total = 0.0
-
-    while True:
-        t_next = min(next_arrival, next_departure)
-        if t_next > horizon_s:
-            area += n * (horizon_s - now)
-            if n > 0:
-                busy += horizon_s - now
-            break
-        area += n * (t_next - now)
-        if n > 0:
-            busy += t_next - now
-        now = t_next
-        if next_arrival <= next_departure:
-            arrivals += 1
-            waiting.append(now)
-            n += 1
-            if n == 1:
-                next_departure = now + rng.expovariate(service_rate)
-            next_arrival = now + rng.expovariate(arrival_rate)
-        else:
-            departures += 1
-            sojourn_total += now - waiting.pop(0)
-            n -= 1
-            next_departure = (
-                now + rng.expovariate(service_rate) if n > 0 else inf
-            )
-
+    rng = np.random.default_rng(seed)
+    expected = arrival_rate * horizon_s  # a block covers it and six standard deviations
+    block = int(min(2**16, expected + 6.0 * math.sqrt(expected) + 64))
+    carry, a, k = (0, 0, 0.0, 0.0, 0.0, 0.0), np.zeros(1), block
+    while arrival_rate > 0 and k == block:  # until a block passes the horizon
+        a = a[-1] + np.cumsum(rng.exponential(1.0 / arrival_rate, block))
+        k = int(np.searchsorted(a, horizon_s, side="right"))
+        carry = _lindley_block(a[:k], rng.exponential(1.0 / service_rate, k), horizon_s, carry)
+    arrivals, departures, area, busy, sojourn_total, _ = carry
     return SimulationResult(
         n_in_system=area / horizon_s,
         sojourn_s=sojourn_total / departures if departures else 0.0,
@@ -194,6 +169,30 @@ def simulate_mm1(
         departures=departures,
         arrival_rate=arrivals / horizon_s,
     )
+
+
+def _lindley_block(arrivals, services, horizon_s: float, carry: tuple) -> tuple:
+    """Add FIFO customers (sorted arrivals within the horizon, a service
+    time each) to ``carry`` = (arrivals, departures, area, busy, sojourn,
+    D_0), where D_0 is the latest departure: with C = cumsum(S), Lindley's
+    D_i = max(A_i, D_{i-1}) + S_i is C_i + max(D_0, max_{k<=i} A_k - C_{k-1}).
+    """
+    import numpy as np
+
+    arrived, departures, area, busy, sojourn_total, last = carry
+    c = np.cumsum(services)
+    d = np.maximum.accumulate(arrivals - (c - services))
+    np.maximum(d, last, out=d)
+    d += c
+    j = int(np.searchsorted(d, horizon_s, side="right"))  # d is sorted
+    sojourn = float((d[:j] - arrivals[:j]).sum())
+    area += sojourn + float((horizon_s - arrivals[j:]).sum())
+    # services are disjoint: j end within the horizon, the next may be under way
+    busy += float(c[j - 1]) if j else 0.0
+    if j < len(d):
+        busy += max(horizon_s - float(d[j] - services[j]), 0.0)
+    last = float(d[-1]) if len(d) else last
+    return arrived + len(d), departures + j, area, busy, sojourn_total + sojourn, last
 
 
 def write_steady_csv(path, rows: list[SteadyStateRow], idle: float) -> Path:

@@ -54,6 +54,23 @@ def test_queue_simulate(capsys):
     assert "simulated:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_queue_simulate_non_finite_horizon_exits_1_at_once(horizon):
+    # times the command in the child, not the interpreter's start-up
+    script = (
+        "import sys, time\nfrom biokm import cli\nt0 = time.perf_counter()\n"
+        "code = cli.main(sys.argv[1:])\nprint(time.perf_counter() - t0)\nsys.exit(code)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "queue", "--lambda", "1", "--mu", "2",
+         "--simulate", "--horizon", horizon],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert "error: horizon must be positive and finite" in done.stderr
+    assert float(done.stdout.splitlines()[-1]) < 1.0
+
+
 def test_queue_unstable_is_module_error(capsys):
     assert main(["queue", "--lambda", "10", "--mu", "5"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -47,6 +47,14 @@ def test_queue_command_imports_only_queueing():
     assert not loaded & {"numpy", "biokm.server", "biokm.loadgen", "biokm.report"}
 
 
+def test_queue_simulate_loads_numpy():
+    loaded = modules_after(
+        "from biokm import cli\nassert cli.main(['queue', '--lambda', '1', '--mu', '2', "
+        "'--simulate', '--horizon', '10']) == 0"
+    )
+    assert "numpy" in loaded
+
+
 def test_serve_command_runs_without_numpy():
     loaded = modules_after(
         "from biokm import cli\n"

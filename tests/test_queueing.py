@@ -1,15 +1,23 @@
+import math
 import random
+import tracemalloc
+from itertools import accumulate
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biokm.queueing import (
     NonPositiveServiceRate,
     UnstableQueue,
+    _lindley_block,
     mm1_stats,
     simulate_mm1,
     steady_state_table,
     write_steady_csv,
 )
+
+NAN, INF = math.nan, math.inf
 
 # recorded steady-state figures for arrival 42.8/s, service 61.4/s
 FIG_REFERENCE = dict(
@@ -167,3 +175,131 @@ def test_simulator_oracle_agreement_ten_seeded_pairs():
         sim = simulate_mm1(lam, mu, horizon_s=horizon, seed=seed)
         assert sim.n_in_system == pytest.approx(stats.L, rel=0.05)
         assert sim.sojourn_s == pytest.approx(stats.W, rel=0.05)
+
+
+@pytest.mark.parametrize("lam, mu", [(NAN, 2.0), (1.0, NAN), (INF, 2.0), (1.0, INF)])
+def test_non_finite_rates_raise(lam, mu):
+    with pytest.raises(ValueError, match="finite"):
+        mm1_stats(lam, mu)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_mm1(lam, mu, horizon_s=1.0, seed=1)
+
+
+@pytest.mark.parametrize("horizon", [NAN, INF, -INF])
+def test_non_finite_horizon_raises(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_mm1(1.0, 2.0, horizon_s=horizon, seed=1)
+
+
+@pytest.mark.parametrize("epsilon", [NAN, INF])
+def test_non_finite_epsilon_raises(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        steady_state_table(1.0, 2.0, epsilon=epsilon)
+
+
+def test_simulator_memory_does_not_grow_with_horizon():
+    simulate_mm1(0.9, 1.0, horizon_s=10.0, seed=1)  # numpy's import stays untraced
+    peaks = {}
+    for horizon in (2.2e5, 2.2e6):  # about 2e5 and 2e6 arrivals
+        tracemalloc.start()
+        try:
+            sim = simulate_mm1(0.9, 1.0, horizon_s=horizon, seed=3)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sim.arrivals == pytest.approx(0.9 * horizon, rel=0.01)
+    assert peaks[2.2e6] < 16 * 2**20
+    assert peaks[2.2e5] >= 0.8 * peaks[2.2e6]
+
+
+# --- the block kernel against the former event loop ---------------------------
+
+
+def event_loop_reference(gaps, services, horizon_s):
+    """The simulator's former event loop, drawing interarrival gaps and
+    service times from two iterators in place of its generator.
+
+    Returns (arrivals, departures, area, busy, sojourn_total).
+    """
+    gaps, services = iter(gaps), iter(services)
+    inf = float("inf")
+    now = 0.0
+    next_arrival = next(gaps, inf)
+    next_departure = inf
+    waiting: list[float] = []  # arrival stamps, FIFO
+    n = 0
+    area = 0.0
+    busy = 0.0
+    arrivals = departures = 0
+    sojourn_total = 0.0
+
+    while True:
+        t_next = min(next_arrival, next_departure)
+        if t_next > horizon_s:
+            area += n * (horizon_s - now)
+            if n > 0:
+                busy += horizon_s - now
+            break
+        area += n * (t_next - now)
+        if n > 0:
+            busy += t_next - now
+        now = t_next
+        if next_arrival <= next_departure:
+            arrivals += 1
+            waiting.append(now)
+            n += 1
+            if n == 1:
+                next_departure = now + next(services)
+            next_arrival = now + next(gaps, inf)
+        else:
+            departures += 1
+            sojourn_total += now - waiting.pop(0)
+            n -= 1
+            next_departure = now + next(services) if n > 0 else inf
+    return arrivals, departures, area, busy, sojourn_total
+
+
+def run_blocks(arrivals, services, horizon_s, size):
+    """``_lindley_block`` over consecutive blocks of ``size`` customers."""
+    size = size or max(len(arrivals), 1)
+    carry = (0, 0, 0.0, 0.0, 0.0, 0.0)
+    for i in range(0, len(arrivals), size):
+        carry = _lindley_block(arrivals[i:i + size], services[i:i + size], horizon_s, carry)
+    return carry[:5]
+
+
+def assert_kernel_matches_loop(customers, horizon_s, exact):
+    gaps = [g for g, _ in customers]
+    services = [s for _, s in customers]
+    want = event_loop_reference(gaps, services, horizon_s)
+    arrivals = np.array(list(accumulate(gaps)))
+    k = int(np.searchsorted(arrivals, horizon_s, side="right"))
+    # cancellation in a departure time costs up to an ulp of the largest time
+    scale = 1e-12 * k * (horizon_s + sum(services))
+    for size in (None, 1, 2, 7):
+        got = run_blocks(arrivals[:k], np.array(services[:k]), horizon_s, size)
+        assert got[:2] == want[:2], size
+        for g, w in zip(got[2:], want[2:]):
+            assert g == (w if exact else pytest.approx(w, rel=1e-9, abs=scale)), size
+
+
+ORACLE = settings(derandomize=True, deadline=None, max_examples=300)
+# multiples of 1/4 add exactly, so ties at the horizon and between events
+# are resolved alike on both sides
+QUARTERS = st.integers(0, 40).map(lambda q: q / 4)
+FLOATS = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@ORACLE
+@given(
+    st.lists(st.tuples(QUARTERS, QUARTERS), max_size=40),
+    st.integers(1, 400).map(lambda q: q / 4),
+)
+def test_block_kernel_matches_event_loop_on_quarter_grid(customers, horizon_s):
+    assert_kernel_matches_loop(customers, horizon_s, exact=True)
+
+
+@ORACLE
+@given(st.lists(st.tuples(FLOATS, FLOATS), max_size=40), st.floats(1e-3, 200.0))
+def test_block_kernel_matches_event_loop_on_floats(customers, horizon_s):
+    assert_kernel_matches_loop(customers, horizon_s, exact=False)
