@@ -18,7 +18,10 @@ channel to EOF, and a client waits for the server's EOF after QUIT (see
 sends nothing to a peer before that peer's login is answered, whatever
 the offsets say.  An odd trailing client talks to itself, which the
 protocol permits.  The first error any client records, a server ERR
-included, stops the whole run.
+included, stops the whole run.  File bodies are fixed by the seed
+(``file_body``), and each recipient checks a CRC-32 of what arrived
+against the body it derives, so a relay that reorders or corrupts
+chunks fails the run.
 
 Transfer roles need care: FILE_ACCEPT frames carry only a peer and a
 port, so a client tells its role in a transfer from the peer alone.
@@ -43,6 +46,7 @@ import socket
 import statistics
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -62,6 +66,16 @@ from .telemetry import SessionMetrics, run_record, session_record, write_capture
 
 RTT_PROBES = 5
 CLIENT_TIMEOUT_S = 30.0
+BODY_PERIOD = 65521  # prime, so no chunk boundary falls on a period
+
+
+def file_body(seed: int, sender: str, filename: str, size: int) -> bytes:
+    """The bytes ``sender`` sends as ``filename``: one seeded block of
+    BODY_PERIOD bytes (of ``size`` bytes if that is less), tiled to
+    ``size``.  A swapped, dropped or repeated chunk changes them, since
+    MAX_CHUNK is no multiple of the period."""
+    block = random.Random(f"{seed}:{sender}:{filename}").randbytes(min(size, BODY_PERIOD))
+    return (block * (size // BODY_PERIOD + 1))[:size]
 
 
 class InvalidSpec(ValueError):
@@ -248,6 +262,7 @@ class _ScriptedClient:
         self._files_received = 0
         self._offer_queue: list[tuple[str, str, int]] = []
         self._incoming_peer: str | None = None  # accepted, awaiting port or data
+        self._incoming_file: tuple[str, int] = ("", 0)  # its file name and size
         self._incoming_bound = False
         self._outgoing_peer: str | None = None  # offered, awaiting port
         self._outgoing_bound = False
@@ -336,6 +351,8 @@ class _ScriptedClient:
 
     def _do_transfer(self, event: ScheduleEvent):
         self._await_peer(event.peer)
+        filename = f"f{event.index}.bin"
+        body = file_body(self.spec.seed, self.nick, filename, event.size)
         with self._state:
             self._wait(
                 lambda: self._incoming_peer != event.peer,
@@ -345,15 +362,8 @@ class _ScriptedClient:
             self._outgoing_peer = event.peer
             self._outgoing_bound = False
             self._outgoing_done = False
-            self._outgoing_body = random.Random(
-                f"{self.spec.seed}:{self.nick}:file:{event.index}"
-            ).randbytes(event.size)
-        self._send(
-            Frame(
-                Command.FILE_OFFER,
-                (event.peer, f"f{event.index}.bin", str(event.size)),
-            )
-        )
+            self._outgoing_body = body
+        self._send(Frame(Command.FILE_OFFER, (event.peer, filename, str(event.size))))
         with self._state:
             self._wait(
                 lambda: self._outgoing_done,
@@ -459,8 +469,9 @@ class _ScriptedClient:
                 and self.nick < sender
             ):
                 return
-            self._offer_queue.pop(0)
+            _, filename, size = self._offer_queue.pop(0)
             self._incoming_peer = sender
+            self._incoming_file = (filename, size)
             self._incoming_bound = False
         try:
             self._send(Frame(Command.FILE_ACCEPT, (sender, "00000")))
@@ -528,17 +539,27 @@ class _ScriptedClient:
 
     def _receive_file(self, peer: str, port: int):
         stream = FrameBuffer(chunks=True)
+        with self._state:
+            filename, size = self._incoming_file
+        crc = 0
         try:
             with self._channel(port) as conn:
                 chunks = []
                 while not chunks or chunks[-1][0]:
                     chunks = stream.recv(conn)
-                    for _, consumed in chunks:
+                    for data, consumed in chunks:
                         self.metrics.count_received(consumed)
+                        crc = zlib.crc32(data, crc)
                 # the server closes the channel only after logging the
                 # transfer, so EOF here means the log already holds it
                 if stream.pending() or conn.recv(1):
                     raise OSError("data after the terminator")
+            expected = zlib.crc32(file_body(self.spec.seed, peer, filename, size))
+            if crc != expected:
+                self._record(ScenarioFailed(
+                    f"{self.nick}: file {filename} from {peer} differs from what "
+                    f"{peer} sent (crc32 {crc:08x}, expected {expected:08x})"
+                ))
         except (OSError, ProtocolError) as exc:
             self._channel_failed("recipient", peer, port, exc)
         finally:

@@ -198,12 +198,18 @@ class FrameBuffer:
         self._pos = self._mark = 0  # decoded up to; where the last feed began
         self._chunks = chunks
         self._ended = False
+        self._error: ProtocolError | None = None  # met after frames it returned
         # chunk reads land in one buffer; control connections hold none idle
         self._room = memoryview(bytearray(RECV_SIZE)) if chunks else None
 
     def feed(self, data) -> list:
         """Append ``data``; return the ``Decoded`` frames it completes, or
-        in chunk mode its ``(data, consumed)`` chunks."""
+        in chunk mode its ``(data, consumed)`` chunks.  A wire-format error
+        raises ``ProtocolError``; one met after complete frames is raised by
+        the next ``feed`` or ``recv`` instead, so those frames are returned
+        first, however the stream was split into reads."""
+        if self._error is not None:
+            raise self._error
         buf = self._buf
         if self._pos * 2 > len(buf):
             del buf[: self._pos]
@@ -211,26 +217,33 @@ class FrameBuffer:
         buf += data
         pos = self._mark = self._pos
         out = []
-        if not self._chunks:
-            while (result := decode_frame(buf, pos)) is not NEED_MORE:
-                out.append(result)
-                pos += result.consumed
-        else:
-            while not self._ended:
-                # a view, not a copy, released before the buffer can resize
-                with memoryview(buf)[pos:] as rest:
-                    result = decode_chunk(rest)
-                if result is NEED_MORE:
-                    break
-                out.append(result)
-                pos += result[1]
-                self._ended = not result[0]
+        try:
+            if not self._chunks:
+                while (result := decode_frame(buf, pos)) is not NEED_MORE:
+                    out.append(result)
+                    pos += result.consumed
+            else:
+                while not self._ended:
+                    # a view, not a copy, released before the buffer can resize
+                    with memoryview(buf)[pos:] as rest:
+                        result = decode_chunk(rest)
+                    if result is NEED_MORE:
+                        break
+                    out.append(result)
+                    pos += result[1]
+                    self._ended = not result[0]
+        except ProtocolError as exc:
+            if not out:
+                raise
+            self._error = exc
         self._pos = pos
         return out
 
     def recv(self, sock) -> list:
         """Read once from ``sock`` and decode as ``feed`` does; raise
         ConnectionError at EOF."""
+        if self._error is not None:
+            raise self._error
         data = self._room[: sock.recv_into(self._room)] if self._room else sock.recv(RECV_SIZE)
         if not data:
             raise ConnectionError("connection closed by peer")

@@ -53,6 +53,9 @@ def _check_rates(arrival_rate: float, service_rate: float) -> None:
         raise NonPositiveServiceRate(f"service rate must be positive, got {service_rate}")
     if arrival_rate < 0:
         raise ValueError(f"arrival rate must be nonnegative, got {arrival_rate}")
+    for rate in (arrival_rate, service_rate):
+        if rate > 0 and not math.isfinite(1.0 / rate):  # a subnormal rate
+            raise ValueError(f"rate {rate} has no finite mean time 1/rate")
 
 
 def mm1_stats(arrival_rate: float, service_rate: float) -> QueueStats:

@@ -8,6 +8,14 @@ socket is counted into that session's telemetry, and every event is
 appended to a JSON Lines log carrying both wall-clock and monotonic
 stamps (durations are always computed on the monotonic clock).
 
+A handler dispatches all the frames of one read as a batch.  Every reply
+and relayed frame of the batch is counted at once and queued per
+destination, and each destination gets one ``sendall`` when the batch
+ends.  Log lines are queued too and reach the file in one write: before a
+handler reads again, when a session is unregistered, when a transfer
+ends (before its data channels close), and at ``stop()``.  So the log is
+on disk by the time a client sees a departure or a transfer end.
+
 File transfers are brokered in three steps: the sender's offer is
 relayed to the recipient; the recipient's accept makes the server open
 a data listener and announce the port to the recipient; once the
@@ -19,16 +27,17 @@ terminator.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .protocol import (
     MAX_LINE,
     MAX_NAME,
+    RECV_SIZE,
     Command,
     Frame,
     FrameBuffer,
@@ -83,27 +92,40 @@ class ServerSnapshot:
 
 
 class _EventLog:
+    """JSON Lines event log.  ``write`` formats a line and queues it;
+    ``flush`` writes every queued line in one write.  The server flushes
+    before a handler reads again, after a session is unregistered, after
+    a transfer is logged and before its data channels close, and at stop."""
+
     def __init__(self, path: str | Path | None):
         self._lock = threading.Lock()
-        self._fh = open(path, "w", encoding="utf-8") if path else None
+        self._lines: list[str] = []
+        self._fh = open(path, "wb") if path else None
 
     def write(self, kind: str, nick: str = "", peer: str = "", bytes_: int = 0, detail: str = ""):
         if self._fh is None:
             return
-        rec = {
-            "ts_epoch_ms": now_epoch_ms(),
-            "ts_mono_ms": now_mono_ms(),
-            "kind": kind,
-            "nick": nick,
-            "peer": peer,
-            "bytes": bytes_,
-            "detail": detail,
-        }
+        # the line json.dumps would give for these seven fields, in order
+        line = (
+            f'{{"ts_epoch_ms": {now_epoch_ms()!r}, "ts_mono_ms": {now_mono_ms()!r}, '
+            f'"kind": {_json_str(kind)}, "nick": {_json_str(nick)}, '
+            f'"peer": {_json_str(peer)}, "bytes": {bytes_}, '
+            f'"detail": {_json_str(detail)}}}\n'
+        )
         with self._lock:
-            self._fh.write(json.dumps(rec) + "\n")
-            self._fh.flush()
+            self._lines.append(line)
+
+    def flush(self):
+        if not self._lines:
+            return
+        with self._lock:
+            if self._fh is not None and self._lines:
+                self._fh.write("".join(self._lines).encode("ascii"))
+                self._fh.flush()
+                self._lines.clear()
 
     def close(self):
+        self.flush()
         if self._fh is not None:
             with self._lock:
                 self._fh.close()
@@ -154,6 +176,58 @@ class _PortAllocator:
                 self._in_use.discard(port)
 
 
+class _Outbox:
+    """Frames on their way out: one ``sendall`` per destination socket,
+    under that socket's send lock, at ``flush``.  A handler queues the
+    replies and relays of one read's frames and flushes when the batch
+    ends, or as soon as one destination holds RECV_SIZE bytes, so the
+    queue stays within one read's worth.  ``conn`` and ``lock``
+    are the handler's own connection; its session adopts the lock."""
+
+    def __init__(self, conn: socket.socket | None = None):
+        self.conn = conn
+        self.lock = threading.Lock()
+        self._queued: dict[socket.socket, list] = {}  # conn -> [lock, parts, bytes]
+
+    def send(self, session: SessionRecord, frame: Frame, payload: bytes = b""):
+        wire = encode_frame(frame, payload)
+        # counted now, so a snapshot taken after the peer reacts includes it
+        session.metrics.count_sent(len(wire))
+        self._add(session.conn, session.send_lock, wire)
+
+    def reply(self, session: SessionRecord | None, frame: Frame):
+        """Answer on the handler's own connection, logged in or not."""
+        if session is not None:
+            self.send(session, frame)
+        else:
+            self._add(self.conn, self.lock, encode_frame(frame))
+
+    def _add(self, conn, lock, wire: bytes):
+        entry = self._queued.get(conn)
+        if entry is None:
+            entry = self._queued[conn] = [lock, [], 0]
+        entry[1].append(wire)
+        entry[2] += len(wire)
+        if entry[2] >= RECV_SIZE:
+            self.flush()
+
+    def flush(self):
+        for conn, (lock, parts, _) in self._queued.items():
+            with lock:
+                try:
+                    conn.sendall(b"".join(parts))
+                except OSError:
+                    pass
+        self._queued.clear()
+
+
+def _send_now(session: SessionRecord, frame: Frame) -> None:
+    """Send from a thread that dispatches no batch, such as a transfer's."""
+    out = _Outbox()
+    out.send(session, frame)
+    out.flush()
+
+
 @dataclass
 class _PendingTransfer:
     sender: str
@@ -199,6 +273,7 @@ class MessengerServer:
         self.start_mono_ms = now_mono_ms()
         self.start_epoch_ms = now_epoch_ms()
         self._log.write("server_start", detail=f"port={self.port}")
+        self._log.flush()
         self._spawn(self._accept_loop, (), "biokm-accept")
         return self
 
@@ -278,9 +353,13 @@ class MessengerServer:
     def _handle_conn(self, conn: socket.socket, addr):
         conn.settimeout(ACCEPT_POLL_S)
         buffer = FrameBuffer()
+        out = _Outbox(conn)
         session: SessionRecord | None = None
         try:
             while not self._stop.is_set():
+                # the last read's sends and log lines leave before the next read
+                out.flush()
+                self._log.flush()
                 try:
                     decoded = buffer.recv(conn)
                 except socket.timeout:
@@ -290,64 +369,66 @@ class MessengerServer:
                 except ProtocolError as exc:
                     nick = session.nick if session else ""
                     self._log.write("malformed", nick=nick, detail=str(exc))
-                    self._send_raw(conn, session, Frame(Command.ERR, ("MALFORMED",)))
+                    out.reply(session, Frame(Command.ERR, ("MALFORMED",)))
                     break
                 for frame, payload, consumed in decoded:
                     if session is not None:
                         session.metrics.count_received(consumed)
-                    session = self._dispatch(conn, session, frame, payload, consumed)
+                    session = self._dispatch(out, session, frame, payload, consumed)
                     if session is _CLOSE:
                         return
         finally:
+            out.flush()
             if session is not None and session is not _CLOSE:
                 self._unregister(session, kind="disconnect")
+            self._log.flush()
             try:
                 conn.close()
             except OSError:
                 pass
 
-    def _dispatch(self, conn, session, frame: Frame, payload: bytes, consumed: int):
+    def _dispatch(self, out: _Outbox, session, frame: Frame, payload: bytes, consumed: int):
         command = frame.command
         if command is Command.PING:
-            self._send_raw(conn, session, Frame(Command.PONG, frame.args))
+            out.reply(session, Frame(Command.PONG, frame.args))
             self._log.write("ping", nick=session.nick if session else "", detail=frame.args[0])
             return session
         if command is Command.LOGIN:
-            return self._handle_login(conn, session, frame.args[0], consumed)
+            return self._handle_login(out, session, frame.args[0], consumed)
         if command is Command.QUIT:
             if session is not None:
                 self._unregister(session, kind="quit")
             return _CLOSE
         if session is None:
-            self._send_raw(conn, session, Frame(Command.ERR, ("NOT_LOGGED_IN",)))
+            out.reply(session, Frame(Command.ERR, ("NOT_LOGGED_IN",)))
             return session
         if command is Command.MSG:
-            self._route_message(session, frame.args[0], payload)
+            self._route_message(out, session, frame.args[0], payload)
         elif command is Command.INVITE:
-            self._handle_invite(session, frame.args[0])
+            self._handle_invite(out, session, frame.args[0])
         elif command is Command.LIST:
             with self._registry_lock:
                 nicks = ",".join(sorted(self._registry))
             reply = Frame(Command.OK, (nicks,) if nicks else ())
             if len(nicks.encode()) > MAX_LINE - 3:  # "OK " and every nick in one line
                 reply = Frame(Command.ERR, ("LIST_TOO_LONG",))
-            self._send_frame(session, reply)
+            out.send(session, reply)
             self._log.write("list", nick=session.nick)
         elif command is Command.FILE_OFFER:
-            self._handle_file_offer(session, frame)
+            self._handle_file_offer(out, session, frame)
         elif command is Command.FILE_ACCEPT:
-            self._handle_file_accept(session, frame)
+            self._handle_file_accept(out, session, frame)
         else:
             # clients have no business sending OK / ERR / PONG
             self._log.write("malformed", nick=session.nick, detail=f"unexpected {command.value}")
-            self._send_frame(session, Frame(Command.ERR, ("MALFORMED",)))
+            out.send(session, Frame(Command.ERR, ("MALFORMED",)))
             self._unregister(session, kind="disconnect")
             return _CLOSE
         return session
 
-    def _handle_login(self, conn, session, nick: str, consumed: int):
+    def _handle_login(self, out: _Outbox, session, nick: str, consumed: int):
         if session is not None:
-            self._send_frame(session, Frame(Command.ERR, ("ALREADY_LOGGED_IN",)))
+            out.send(session, Frame(Command.ERR, ("ALREADY_LOGGED_IN",)))
             return session
         with self._registry_lock:
             refusal = ("BAD_NICK" if len(nick.encode()) > MAX_NAME
@@ -358,20 +439,23 @@ class MessengerServer:
                     connect_mono_ms=now_mono_ms(),
                     connect_epoch_ms=now_epoch_ms(),
                     metrics=SessionMetrics(start_mono_ms=now_mono_ms()),
-                    conn=conn,
+                    conn=out.conn,
+                    send_lock=out.lock,  # frames queued before login keep their order
                 )
                 self._registry[nick] = record
                 self._logins += 1
         if refusal is not None:
-            self._send_raw(conn, None, Frame(Command.ERR, (refusal,)))
+            out.reply(None, Frame(Command.ERR, (refusal,)))
             self._log.write("login_rejected", nick=nick)
             return None
         record.metrics.count_received(consumed)  # the LOGIN frame itself
-        self._send_frame(record, Frame(Command.OK))
+        out.send(record, Frame(Command.OK))
         self._log.write("login", nick=nick)
         return record
 
     def _unregister(self, session: SessionRecord, kind: str):
+        # logged and flushed under the registry lock: once a snapshot or
+        # the history shows the departure, the log on disk holds it
         with self._registry_lock:
             current = self._registry.get(session.nick)
             if current is not session:
@@ -379,57 +463,55 @@ class MessengerServer:
             del self._registry[session.nick]
             self._history.append(session)
             self._departures += 1
-        session.departure_mono_ms = now_mono_ms()
-        session.departure_epoch_ms = now_epoch_ms()
-        session.metrics.departure_mono_ms = session.departure_mono_ms
-        self._log.write(kind, nick=session.nick)
+            session.departure_mono_ms = now_mono_ms()
+            session.departure_epoch_ms = now_epoch_ms()
+            session.metrics.departure_mono_ms = session.departure_mono_ms
+            self._log.write(kind, nick=session.nick)
+            self._log.flush()
 
-    def _route_message(self, sender: SessionRecord, to: str, payload: bytes):
+    def _route_message(self, out: _Outbox, sender: SessionRecord, to: str, payload: bytes):
         with self._registry_lock:
             target = self._registry.get(to)
         if target is None:
-            self._send_frame(sender, Frame(Command.ERR, ("NO_SUCH_USER",)))
+            out.send(sender, Frame(Command.ERR, ("NO_SUCH_USER",)))
             self._log.write("message_failed", nick=sender.nick, peer=to)
             return
-        relayed = Frame(Command.MSG, (sender.nick, str(len(payload))))
-        self._send_frame(target, relayed, payload)
+        out.send(target, Frame(Command.MSG, (sender.nick, str(len(payload)))), payload)
         self._log.write("message", nick=sender.nick, peer=to, bytes_=len(payload))
 
-    def _handle_invite(self, sender: SessionRecord, invitee: str):
+    def _handle_invite(self, out: _Outbox, sender: SessionRecord, invitee: str):
         with self._registry_lock:
             target = self._registry.get(invitee)
         if target is not None:
-            self._send_frame(target, Frame(Command.INVITE, (sender.nick,)))
+            out.send(target, Frame(Command.INVITE, (sender.nick,)))
         self._log.write("invite", nick=sender.nick, peer=invitee)
 
     # --- data channel ------------------------------------------------------
 
-    def _handle_file_offer(self, sender: SessionRecord, frame: Frame):
+    def _handle_file_offer(self, out: _Outbox, sender: SessionRecord, frame: Frame):
         recipient_nick, filename, size_token = frame.args
         with self._registry_lock:
             recipient = self._registry.get(recipient_nick)
         if recipient is None:
-            self._send_frame(sender, Frame(Command.ERR, ("NO_SUCH_USER",)))
+            out.send(sender, Frame(Command.ERR, ("NO_SUCH_USER",)))
             self._log.write("message_failed", nick=sender.nick, peer=recipient_nick)
             return
         if len(filename.encode()) > MAX_NAME:
-            self._send_frame(sender, Frame(Command.ERR, ("BAD_NAME",)))
+            out.send(sender, Frame(Command.ERR, ("BAD_NAME",)))
             return
         # decimal, at most 20 digits: any 64-bit size
         if not (size_token.isascii() and size_token.isdigit() and len(size_token) <= 20):
-            self._send_frame(sender, Frame(Command.ERR, ("BAD_SIZE",)))
+            out.send(sender, Frame(Command.ERR, ("BAD_SIZE",)))
             return
         size = int(size_token)
         with self._pending_lock:
             self._pending.append(
                 _PendingTransfer(sender.nick, recipient_nick, filename, size)
             )
-        self._send_frame(
-            recipient, Frame(Command.FILE_OFFER, (sender.nick, filename, size_token))
-        )
+        out.send(recipient, Frame(Command.FILE_OFFER, (sender.nick, filename, size_token)))
         self._log.write("file_offer", nick=sender.nick, peer=recipient_nick, bytes_=size, detail=filename)
 
-    def _handle_file_accept(self, recipient: SessionRecord, frame: Frame):
+    def _handle_file_accept(self, out: _Outbox, recipient: SessionRecord, frame: Frame):
         sender_nick = frame.args[0]
         with self._pending_lock:
             pending = next(
@@ -443,9 +525,10 @@ class MessengerServer:
             if pending is not None:
                 self._pending.remove(pending)
         if pending is None:
-            self._send_frame(recipient, Frame(Command.ERR, ("NO_SUCH_OFFER",)))
+            out.send(recipient, Frame(Command.ERR, ("NO_SUCH_OFFER",)))
             return
         self._log.write("file_accept", nick=recipient.nick, peer=sender_nick)
+        out.flush()  # what the batch sent so far goes before the transfer's frames
         self._spawn(
             self._run_transfer, (pending,), f"biokm-xfer-{pending.sender}-{pending.recipient}"
         )
@@ -459,8 +542,8 @@ class MessengerServer:
         try:
             listener = self._ports.acquire()
         except OSError:
-            self._send_frame(sender, Frame(Command.ERR, ("NO_DATA_PORT",)))
-            self._send_frame(recipient, Frame(Command.ERR, ("NO_DATA_PORT",)))
+            _send_now(sender, Frame(Command.ERR, ("NO_DATA_PORT",)))
+            _send_now(recipient, Frame(Command.ERR, ("NO_DATA_PORT",)))
             return
         port_token = "%05d" % listener.getsockname()[1]
         listener.settimeout(DATA_ACCEPT_TIMEOUT_S)
@@ -469,7 +552,7 @@ class MessengerServer:
             # recipient connects first, sender second: accept order is identity
             try:
                 for session, peer in ((recipient, pending.sender), (sender, pending.recipient)):
-                    self._send_frame(session, Frame(Command.FILE_ACCEPT, (peer, port_token)))
+                    _send_now(session, Frame(Command.FILE_ACCEPT, (peer, port_token)))
                     channels.append(listener.accept()[0])
             except OSError:
                 raise _TransferAborted(0, "data channel never opened") from None
@@ -485,6 +568,7 @@ class MessengerServer:
                 bytes_=exc.partial, detail=str(exc),
             )
         finally:
+            self._log.flush()  # before the recipient can see its channel close
             for sock in channels:
                 try:
                     sock.close()
@@ -528,29 +612,6 @@ class MessengerServer:
                     raise _TransferAborted(relayed, f"size mismatch: offered {size}")
                 recipient.metrics.count_sent(len(end))
                 return
-
-    # --- plumbing ----------------------------------------------------------
-
-    def _send_frame(self, session: SessionRecord, frame: Frame, payload: bytes = b""):
-        wire = encode_frame(frame, payload)
-        with session.send_lock:
-            # count before the peer can see the frame, so a snapshot taken
-            # after the peer reacts to it already includes it
-            session.metrics.count_sent(len(wire))
-            try:
-                session.conn.sendall(wire)
-            except OSError:
-                pass
-
-    def _send_raw(self, conn, session, frame: Frame, payload: bytes = b""):
-        if session is not None:
-            self._send_frame(session, frame, payload)
-            return
-        try:
-            conn.sendall(encode_frame(frame, payload))
-        except OSError:
-            pass
-
 
 class _TransferAborted(Exception):
     def __init__(self, partial: int, reason: str):

@@ -20,7 +20,7 @@ from biokm.loadgen import (
     generate_schedule,
     run_scenario,
 )
-from biokm.protocol import Command, Frame
+from biokm.protocol import Command, Frame, FrameBuffer, encode_chunk
 from biokm.server import ServerConfig, now_mono_ms, start_server
 from biokm.telemetry import analyze_capture, read_capture
 from test_server import RawClient, wait_until
@@ -388,6 +388,69 @@ def test_completion_waits_cover_slow_server_bookkeeping(tmp_path, monkeypatch):
         assert [r.departure_mono_ms is not None for r in history] == [True, True]
         assert kinds.count("quit") == 2
         assert kinds.count("transfer_complete") == 2
+
+
+def test_event_log_on_disk_when_run_returns(server, tmp_path):
+    # the server queues log lines; its flush points must cover every event
+    # a client has seen the effect of by the time the call returns
+    spec = ScenarioSpec(
+        mode=Mode.MIXED, clients=4, messages_per_client=30, files_per_client=2,
+        file_size=3000, inter_event_gap_ms=0, seed=3,
+    )
+    run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+    kinds = [
+        json.loads(line)["kind"]
+        for line in (tmp_path / "events.jsonl").read_text().splitlines()
+    ]
+    assert kinds.count("message") == 4 * 30
+    assert kinds.count("transfer_complete") == 4 * 2
+    assert kinds.count("quit") == 4
+
+
+def tampering_relay(tamper):
+    """A stand-in for the server's chunk relay that hands the recipient
+    ``tamper(chunks)`` in place of the chunks the sender sent."""
+
+    def relay(self, sender, recipient, sender_conn, recipient_conn, size):
+        stream, chunks = FrameBuffer(chunks=True), []
+        while not chunks or chunks[-1][0]:
+            chunks += stream.recv(sender_conn)
+        data = tamper([chunk for chunk, _ in chunks[:-1]])
+        recipient_conn.sendall(b"".join(encode_chunk(c) for c in [*data, b""]))
+
+    return relay
+
+
+def swap_first_two(chunks):
+    return [chunks[1], chunks[0], *chunks[2:]]
+
+
+def flip_one_byte(chunks):
+    last = bytearray(chunks[-1])
+    last[-1] ^= 1
+    return [*chunks[:-1], bytes(last)]
+
+
+@pytest.mark.parametrize("tamper", [swap_first_two, flip_one_byte])
+def test_relayed_bytes_are_checked(tmp_path, monkeypatch, tamper):
+    monkeypatch.setattr(server_module.MessengerServer, "_relay_chunks", tampering_relay(tamper))
+    spec = ScenarioSpec(  # c1 sends itself one file of three chunks
+        mode=Mode.FTP, clients=1, files_per_client=1, file_size=3 * 65536,
+        inter_event_gap_ms=0,
+    )
+    with start_server(ServerConfig()) as server:
+        with pytest.raises(ScenarioFailed, match=r"^c1: file f0\.bin from c1 differs"):
+            run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+
+
+def test_file_bodies_are_seeded_and_period_tiled():
+    body = loadgen.file_body(7, "c1", "f0.bin", 3 * 65536)
+    assert body == loadgen.file_body(7, "c1", "f0.bin", 3 * 65536)
+    assert body != loadgen.file_body(7, "c2", "f0.bin", 3 * 65536)
+    assert body != loadgen.file_body(7, "c1", "f1.bin", 3 * 65536)
+    period = loadgen.BODY_PERIOD
+    assert body[period:] == body[:-period]
+    assert body[:65536] != body[65536:131072]  # chunks differ, so a swap shows
 
 
 def test_refused_frame_fails_the_run_at_once(server, tmp_path):

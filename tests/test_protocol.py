@@ -214,6 +214,25 @@ def test_endless_line_fails_within_one_line_of_bytes():
     assert buffer.pending() == MAX_LINE + 2
 
 
+def test_frames_before_a_malformed_one_are_returned_first():
+    good = Frame(Command.MSG, ("b", "5"))
+    buffer = FrameBuffer()
+    decoded = buffer.feed(encode_frame(good, b"hello") + b"BOGUS x\r\n")
+    assert [(d.frame, d.payload) for d in decoded] == [(good, b"hello")]
+    with pytest.raises(MalformedFrame, match="BOGUS"):
+        buffer.feed(b"LIST\r\n")
+    with pytest.raises(MalformedFrame, match="BOGUS"):
+        buffer.recv(Trickle([b"LIST\r\n"]))  # raised before any read
+
+
+def test_chunks_before_a_bad_prefix_are_returned_first():
+    decoder = FrameBuffer(chunks=True)
+    too_long = (MAX_CHUNK + 1).to_bytes(4, "big")
+    assert decoder.feed(encode_chunk(b"abc") + too_long) == [(b"abc", 7)]
+    with pytest.raises(ChunkLengthError):
+        decoder.recv(Trickle([encode_chunk(b"")]))
+
+
 # --- the decoder, fuzzed -------------------------------------------------------
 
 

@@ -185,6 +185,15 @@ def test_non_finite_rates_raise(lam, mu):
         simulate_mm1(lam, mu, horizon_s=1.0, seed=1)
 
 
+@pytest.mark.parametrize("lam, mu", [(5.0, 1e-320), (1e-320, 2.0)])
+def test_rates_without_a_finite_reciprocal_raise(lam, mu):
+    # a subnormal rate draws infinite times: the simulator returned nan
+    with pytest.raises(ValueError, match="1/rate"):
+        simulate_mm1(lam, mu, horizon_s=10.0, seed=1)
+    with pytest.raises(ValueError, match="1/rate"):
+        mm1_stats(lam, mu)
+
+
 @pytest.mark.parametrize("horizon", [NAN, INF, -INF])
 def test_non_finite_horizon_raises(horizon):
     with pytest.raises(ValueError, match="horizon"):

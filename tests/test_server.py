@@ -1,13 +1,17 @@
 import gc
 import json
 import socket
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biokm.protocol import (
     MAX_NAME,
+    RECV_SIZE,
     Command,
     Frame,
     FrameBuffer,
@@ -16,7 +20,7 @@ from biokm.protocol import (
     encode_chunk,
     encode_frame,
 )
-from biokm.server import ServerConfig, start_server
+from biokm.server import ServerConfig, _EventLog, start_server
 from biokm.telemetry import SessionMetrics
 
 
@@ -232,6 +236,73 @@ def test_bulk_relay_packet_count(server):
         lambda: server.snapshot().sessions["alice"].packets_received == base + n,
         timeout=30.0,
     )
+    a.close(), b.close()
+
+
+def sendalls_to(monkeypatch, client):
+    """Record the size of every server-side sendall to ``client``."""
+    sizes = []
+    sendall = socket.socket.sendall
+    peer = client.sock.getsockname()
+
+    def spy(sock, data, *args):
+        if sock.getpeername() == peer:
+            sizes.append(len(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", spy)
+    return sizes
+
+
+def test_burst_leaves_in_one_write_per_destination(server, monkeypatch):
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    before = server.snapshot().sessions
+    sizes = sendalls_to(monkeypatch, b)
+    n = 50
+    a.sock.sendall(encode_frame(Frame(Command.MSG, ("bob", "2")), b"hi") * n)
+    for _ in range(n):
+        assert b.read_frame().frame == Frame(Command.MSG, ("alice", "2"))
+    assert 1 <= len(sizes) <= 2  # one per read of the burst, not one per frame
+    after = server.snapshot().sessions
+    relayed = len(encode_frame(Frame(Command.MSG, ("alice", "2")), b"hi"))
+    assert after["alice"].packets_received == before["alice"].packets_received + n
+    assert after["bob"].packets_sent == before["bob"].packets_sent + n
+    assert after["bob"].bytes_sent == before["bob"].bytes_sent + n * relayed
+    assert sum(sizes) == n * relayed
+    a.close(), b.close()
+
+
+def test_queued_sends_stay_within_one_read(server, monkeypatch):
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    sizes = sendalls_to(monkeypatch, b)
+    body = b"x" * 1000
+    frame = encode_frame(Frame(Command.MSG, ("bob", str(len(body)))), body)
+    n = 300  # 300 kB, several reads' worth
+    a.sock.sendall(frame * n)
+    for _ in range(n):
+        b.read_frame()
+    relayed = len(encode_frame(Frame(Command.MSG, ("alice", str(len(body)))), body))
+    assert sum(sizes) == n * relayed
+    assert max(sizes) < RECV_SIZE + relayed
+    a.close(), b.close()
+
+
+def test_frames_before_a_malformed_one_are_relayed(server):
+    # one read holding a MSG and then garbage: the MSG used to be dropped
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    a.sock.sendall(encode_frame(Frame(Command.MSG, ("bob", "5")), b"hello") + b"BOGUS x\r\n")
+    decoded = b.read_frame()
+    assert (decoded.frame, decoded.payload) == (Frame(Command.MSG, ("alice", "5")), b"hello")
+    assert a.read_frame().frame == Frame(Command.ERR, ("MALFORMED",))
+    with pytest.raises(ConnectionError):
+        a.read_frame()
+    assert wait_until(lambda: server.snapshot().live_count == 1)
     a.close(), b.close()
 
 
@@ -549,3 +620,36 @@ def test_event_log_schema(server, tmp_path):
             "ts_epoch_ms", "ts_mono_ms", "kind", "nick", "peer", "bytes", "detail",
         }
     a.close()
+
+
+def test_abrupt_close_logs_disconnect_on_disk(server, tmp_path):
+    a = RawClient(server.address)
+    a.login("alice")
+    a.close()  # no QUIT
+    assert wait_until(lambda: server.snapshot().departures == 1)
+    # the departure shows only once its event is on disk
+    events = read_events(tmp_path / "events.jsonl")
+    assert [e["nick"] for e in events if e["kind"] == "disconnect"] == ["alice"]
+
+
+TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=20) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028\u00e9\U0001f600", "\ud800"]
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(TEXT, TEXT, TEXT, TEXT, st.integers(0, 2**64))
+def test_log_line_is_what_json_dumps_writes(kind, nick, peer, detail, size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        log = _EventLog(path)
+        log.write(kind, nick=nick, peer=peer, bytes_=size, detail=detail)
+        log.close()
+        line = path.read_text(encoding="ascii")
+    record = json.loads(line)
+    assert line == json.dumps(record) + "\n"
+    assert record == {
+        "ts_epoch_ms": record["ts_epoch_ms"], "ts_mono_ms": record["ts_mono_ms"],
+        "kind": kind, "nick": nick, "peer": peer, "bytes": size, "detail": detail,
+    }
+    assert all(isinstance(record[k], float) for k in ("ts_epoch_ms", "ts_mono_ms"))
