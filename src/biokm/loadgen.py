@@ -23,20 +23,12 @@ included, stops the whole run.  File bodies are fixed by the seed
 against the body it derives, so a relay that reorders or corrupts
 chunks fails the run.
 
-Transfer roles need care: FILE_ACCEPT frames carry only a peer and a
-port, so a client tells its role in a transfer from the peer alone.
-Two rules keep that unambiguous.  A client offers no file to a peer
-while a transfer from that peer is accepted and unfinished.  When both
-ends of a pair have offers up at once, the lexicographically smaller
-nick's transfer goes first: the larger nick accepts straight away, the
-smaller defers its accept until its own offer is bound.  The one
-overlap left is on the larger nick, which then holds an accepted
-incoming transfer and an unbound offer toward the same peer.  Its own
-offer cannot be announced before the peer accepts it, and the peer
-accepts only once its transfer is bound, which takes this client's
-recipient connection first; so the first announcement naming that peer
-is always the incoming one.  The server announces each data port to the
-recipient before the sender, which also resolves self-transfers.
+A client accepts every offer as it arrives and binds each transfer by
+the id the server gives it: the relayed offer carries the id, and each
+FILE_ACCEPT announcement the id and the client's role, so transfers with
+one peer may overlap in both directions.  A client sends its own files
+one at a time from its schedule thread, and reads each incoming file in
+a thread of its own.
 """
 
 from __future__ import annotations
@@ -54,6 +46,8 @@ from pathlib import Path
 
 from .protocol import (
     MAX_CHUNK,
+    RECIPIENT,
+    SENDER,
     Command,
     Frame,
     FrameBuffer,
@@ -260,13 +254,10 @@ class _ScriptedClient:
         self._ok_seen = 0
         self._msgs_received = 0
         self._files_received = 0
-        self._offer_queue: list[tuple[str, str, int]] = []
-        self._incoming_peer: str | None = None  # accepted, awaiting port or data
-        self._incoming_file: tuple[str, int] = ("", 0)  # its file name and size
-        self._incoming_bound = False
-        self._outgoing_peer: str | None = None  # offered, awaiting port
-        self._outgoing_bound = False
-        self._outgoing_done = False
+        # accepted transfer id -> (sender, file name, size), until its data is in
+        self._incoming: dict[str, tuple[str, str, int]] = {}
+        self._offered_to: str | None = None  # the peer of this client's open offer
+        self._outgoing: tuple[str, int] | None = None  # that offer's (id, port), once announced
         self._channels: set[socket.socket] = set()  # open data channels
         self._reader: threading.Thread | None = None
         self._data_threads: list[threading.Thread] = []
@@ -354,24 +345,15 @@ class _ScriptedClient:
         filename = f"f{event.index}.bin"
         body = file_body(self.spec.seed, self.nick, filename, event.size)
         with self._state:
-            self._wait(
-                lambda: self._incoming_peer != event.peer,
-                f"file {event.index} to {event.peer} stalled "
-                f"behind an unfinished transfer from {event.peer}",
-            )
-            self._outgoing_peer = event.peer
-            self._outgoing_bound = False
-            self._outgoing_done = False
-            self._outgoing_body = body
+            self._offered_to, self._outgoing = event.peer, None
         self._send(Frame(Command.FILE_OFFER, (event.peer, filename, str(event.size))))
         with self._state:
             self._wait(
-                lambda: self._outgoing_done,
+                lambda: self._outgoing is not None,
                 f"file {event.index} to {event.peer} stalled",
             )
-            self._outgoing_peer = None
-            self._state.notify_all()
-        self._pump_accepts()
+            transfer_id, port = self._outgoing
+        self._send_file(event.peer, transfer_id, port, body)
 
     def _do_quit(self):
         # the schedule fixes how much traffic arrives before departure, so
@@ -381,8 +363,6 @@ class _ScriptedClient:
                 lambda: (
                     self._msgs_received >= self.spec.messages_per_client
                     and self._files_received >= self.spec.files_per_client
-                    and self._incoming_peer is None
-                    and not self._offer_queue
                 ),
                 "incoming traffic never drained",
             )
@@ -448,102 +428,86 @@ class _ScriptedClient:
         elif command is Command.INVITE:
             pass  # notification only
         elif command is Command.FILE_OFFER:
-            sender, filename, size = frame.args
+            sender, filename, size, transfer_id = frame.args
             with self._state:
-                self._offer_queue.append((sender, filename, int(size)))
-            self._pump_accepts()
+                self._incoming[transfer_id] = (sender, filename, int(size))
+            try:
+                self._send(Frame(Command.FILE_ACCEPT, (sender, transfer_id)))
+            except OSError as exc:  # control socket already closed by run() or close()
+                self._record(
+                    ScenarioFailed(f"{self.nick}: cannot accept file from {sender}: {exc}")
+                )
         elif command is Command.FILE_ACCEPT:
-            self._bind_transfer(frame.args[0], int(frame.args[1]))
+            self._bind_transfer(*frame.args)
         elif command is Command.ERR:
             self._record(ScenarioFailed(f"{self.nick}: server error {frame.args[0]}"))
 
-    def _pump_accepts(self):
+    def _bind_transfer(self, peer: str, transfer_id: str, role: str, port: str):
+        """Act on a FILE_ACCEPT announcement: as sender, hand the id and port
+        to the schedule thread; as recipient, read the file in a thread."""
         with self._state:
-            if self._incoming_peer is not None or not self._offer_queue:
+            if role == SENDER and peer == self._offered_to and self._outgoing is None:
+                self._outgoing = (transfer_id, int(port))
+                self._state.notify_all()
                 return
-            sender = self._offer_queue[0][0]
-            # same-peer collision: the smaller nick's transfer goes first
-            if (
-                self._outgoing_peer == sender
-                and not self._outgoing_bound
-                and self.nick < sender
-            ):
+            if role != RECIPIENT or transfer_id not in self._incoming:
+                self._record(ScenarioFailed(
+                    f"{self.nick}: unexpected FILE_ACCEPT of transfer {transfer_id} "
+                    f"from {peer} as {role}"
+                ))
                 return
-            _, filename, size = self._offer_queue.pop(0)
-            self._incoming_peer = sender
-            self._incoming_file = (filename, size)
-            self._incoming_bound = False
-        try:
-            self._send(Frame(Command.FILE_ACCEPT, (sender, "00000")))
-        except OSError as exc:  # control socket already closed by run() or close()
-            self._record(
-                ScenarioFailed(f"{self.nick}: cannot accept file from {sender}: {exc}")
-            )
-
-    def _bind_transfer(self, peer: str, port: int):
-        with self._state:
-            if self._incoming_peer == peer and not self._incoming_bound:
-                self._incoming_bound = True
-                role = "recipient"
-            elif self._outgoing_peer == peer and not self._outgoing_bound:
-                self._outgoing_bound = True
-                role = "sender"
-            else:
-                self._record(
-                    ScenarioFailed(f"{self.nick}: unexpected FILE_ACCEPT from {peer}")
-                )
-                return
-        target = self._receive_file if role == "recipient" else self._send_file
+            _, filename, size = self._incoming[transfer_id]
         thread = threading.Thread(
-            target=target, args=(peer, port), daemon=True,
-            name=f"client-{self.nick}-{role}",
+            target=self._receive_file, args=(peer, transfer_id, filename, size, int(port)),
+            daemon=True, name=f"client-{self.nick}-recipient-{transfer_id}",
         )
         thread.start()
         self._data_threads.append(thread)
 
-    def _channel_failed(self, role: str, peer: str, port: int, exc: Exception):
-        failure = ScenarioFailed(
-            f"{self.nick}: {role} data channel with {peer} on port {port} failed: {exc}"
-        )
-        failure.__cause__ = exc
-        self._record(failure)
-
     @contextmanager
-    def _channel(self, port: int):
-        """A data connection that close() can shut down from outside."""
-        conn = socket.create_connection((self.address[0], port), timeout=CLIENT_TIMEOUT_S)
-        with self._state:
-            self._channels.add(conn)
+    def _channel(self, peer: str, transfer_id: str, role: str, port: int):
+        """One end of a transfer: a data connection that close() can shut
+        down from outside, and the hello to open it with, counted as sent.
+        An error on it is recorded, naming the transfer, and not raised."""
         try:
-            yield conn
-        finally:
+            conn = socket.create_connection((self.address[0], port), timeout=CLIENT_TIMEOUT_S)
             with self._state:
-                self._channels.discard(conn)
-            conn.close()
+                self._channels.add(conn)
+            try:
+                hello = encode_frame(Frame(Command.HELLO, (transfer_id, role)))
+                self.metrics.count_sent(len(hello))
+                yield conn, hello
+            finally:
+                with self._state:
+                    self._channels.discard(conn)
+                conn.close()
+        except (OSError, ProtocolError) as exc:
+            failure = ScenarioFailed(
+                f"{self.nick}: {role} data channel with {peer} for transfer {transfer_id} "
+                f"on port {port} failed: {exc}"
+            )
+            failure.__cause__ = exc
+            self._record(failure)
 
-    def _send_file(self, peer: str, port: int):
-        body = self._outgoing_body
-        try:
-            with self._channel(port) as conn:
-                # the slice at len(body) is empty: the terminator
-                for off in [*range(0, len(body), MAX_CHUNK), len(body)]:
-                    wire = encode_chunk(body[off : off + MAX_CHUNK])
-                    conn.sendall(wire)
-                    self.metrics.count_sent(len(wire))
-        except OSError as exc:
-            self._channel_failed("sender", peer, port, exc)
-        finally:
-            with self._state:
-                self._outgoing_done = True
-                self._state.notify_all()
+    def _send_file(self, peer: str, transfer_id: str, port: int, body: bytes):
+        with self._channel(peer, transfer_id, SENDER, port) as (conn, head):
+            # the hello goes in one write with the first chunk; the slice
+            # at len(body) is empty: the terminator
+            for off in [*range(0, len(body), MAX_CHUNK), len(body)]:
+                wire = encode_chunk(body[off : off + MAX_CHUNK])
+                conn.sendall(head + wire)
+                head = b""
+                self.metrics.count_sent(len(wire))
+            # the server's EOF: it has taken this end, so a QUIT from here
+            # on cannot abort the transfer
+            conn.recv(1)
 
-    def _receive_file(self, peer: str, port: int):
+    def _receive_file(self, peer: str, transfer_id: str, filename: str, size: int, port: int):
         stream = FrameBuffer(chunks=True)
-        with self._state:
-            filename, size = self._incoming_file
         crc = 0
         try:
-            with self._channel(port) as conn:
+            with self._channel(peer, transfer_id, RECIPIENT, port) as (conn, hello):
+                conn.sendall(hello)
                 chunks = []
                 while not chunks or chunks[-1][0]:
                     chunks = stream.recv(conn)
@@ -554,20 +518,17 @@ class _ScriptedClient:
                 # transfer, so EOF here means the log already holds it
                 if stream.pending() or conn.recv(1):
                     raise OSError("data after the terminator")
-            expected = zlib.crc32(file_body(self.spec.seed, peer, filename, size))
-            if crc != expected:
-                self._record(ScenarioFailed(
-                    f"{self.nick}: file {filename} from {peer} differs from what "
-                    f"{peer} sent (crc32 {crc:08x}, expected {expected:08x})"
-                ))
-        except (OSError, ProtocolError) as exc:
-            self._channel_failed("recipient", peer, port, exc)
+                expected = zlib.crc32(file_body(self.spec.seed, peer, filename, size))
+                if crc != expected:
+                    self._record(ScenarioFailed(
+                        f"{self.nick}: file {filename} from {peer} differs from what "
+                        f"{peer} sent (crc32 {crc:08x}, expected {expected:08x})"
+                    ))
         finally:
             with self._state:
-                self._incoming_peer = None
+                del self._incoming[transfer_id]
                 self._files_received += 1
                 self._state.notify_all()
-            self._pump_accepts()
 
     def close(self):
         with self._state:

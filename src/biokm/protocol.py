@@ -7,9 +7,11 @@ Two channels ride on TCP:
   most MAX_LINE bytes before the CRLF; a MSG frame is followed by
   exactly as many raw bytes as its second argument gives, a byte count
   in decimal;
-* a binary data channel for file transfers: chunks of a 4-byte unsigned
-  big-endian length prefix plus that many opaque bytes, where a
-  zero-length chunk terminates the transfer.
+* a binary data channel for file transfers, one connection per end of
+  a transfer: a control line, ``HELLO <id> <role>``, names the transfer
+  the server minted at FILE_OFFER and the end, SENDER or RECIPIENT; then
+  chunks of a 4-byte unsigned big-endian length prefix plus that many
+  opaque bytes, where a zero-length chunk terminates the transfer.
 
 The codecs are pure functions over byte buffers.  ``FrameBuffer`` is the
 one incremental decoder for both channels: it decodes one bytearray in
@@ -27,10 +29,11 @@ from typing import NamedTuple
 MAX_PAYLOAD = 65536
 MAX_CHUNK = 65536
 MAX_NAME = 255  # bytes in a nick or a file name, as NAME_MAX
-# twice the longest line the server relays, FILE_OFFER <nick> <file name>
-# <size>, with MAX_NAME-byte names and a 20-digit size: 543 bytes
+# nearly twice the longest line the server relays, FILE_OFFER <nick> <file
+# name> <size> <id> with MAX_NAME-byte names and a 20-digit size and id: 564
 MAX_LINE = 1024
 RECV_SIZE = 65536
+SENDER, RECIPIENT = "sender", "recipient"  # the roles a hello names
 
 _CHUNK_PREFIX = struct.Struct("!I")
 
@@ -68,6 +71,7 @@ class Command(str, Enum):
     PONG = "PONG"
     FILE_OFFER = "FILE_OFFER"
     FILE_ACCEPT = "FILE_ACCEPT"
+    HELLO = "HELLO"
     QUIT = "QUIT"
     OK = "OK"
     ERR = "ERR"
@@ -81,8 +85,9 @@ ARITY: dict[Command, tuple[int, int]] = {
     Command.LIST: (0, 0),
     Command.PING: (1, 1),
     Command.PONG: (1, 1),
-    Command.FILE_OFFER: (3, 3),
-    Command.FILE_ACCEPT: (2, 2),
+    Command.FILE_OFFER: (3, 4),  # the relayed offer adds the id
+    Command.FILE_ACCEPT: (2, 4),  # the announcements add the role and the port
+    Command.HELLO: (2, 2),
     Command.QUIT: (0, 0),
     Command.OK: (0, 1),
     Command.ERR: (1, 1),

@@ -1,12 +1,12 @@
 """Multi-client relay server.
 
 The server owns a star topology: every chat message and file transfer
-passes through it.  One thread accepts control connections, one handler
-thread runs per client, and each file transfer gets a dedicated data
-channel on its own port.  Every frame crossing a logged-in session's
-socket is counted into that session's telemetry, and every event is
-appended to a JSON Lines log carrying both wall-clock and monotonic
-stamps (durations are always computed on the monotonic clock).
+passes through it.  One thread accepts on the control port and on the
+one data port, one handler thread runs per client, and one relay thread
+per transfer whose two ends are in.  Every frame crossing a logged-in
+session's socket is counted into that session's telemetry, and every
+event is appended to a JSON Lines log carrying both wall-clock and
+monotonic stamps (durations are always computed on the monotonic clock).
 
 A handler dispatches all the frames of one read as a batch.  Every reply
 and relayed frame of the batch is counted at once and queued per
@@ -16,17 +16,24 @@ handler reads again, when a session is unregistered, when a transfer
 ends (before its data channels close), and at ``stop()``.  So the log is
 on disk by the time a client sees a departure or a transfer end.
 
-File transfers are brokered in three steps: the sender's offer is
-relayed to the recipient; the recipient's accept makes the server open
-a data listener and announce the port to the recipient; once the
-recipient's data connection is in, the port is announced to the sender,
-whose connection is therefore always the second one accepted.  Chunks
-then flow sender -> server -> recipient until the zero-length
-terminator.
+File transfers are brokered in three steps.  The server mints an id for
+the sender's offer and relays the offer with it.  The recipient's
+accept names the id, and the server announces the id, each end's role
+and the data port to both ends.  Each end connects and opens with a
+hello naming the id and its role, so the server pairs the two by id, in
+whatever order they come.  Chunks then flow sender -> server ->
+recipient until the zero-length terminator.  A data connection may sit
+idle for DATA_IDLE_S at most: waiting for its hello, for the other end,
+or for a chunk.  A departure drops the session's offers and aborts each
+accepted transfer still waiting for that session's end.  The server
+half-closes a sender's end once it has taken it, so a sender that reads
+that EOF before it quits cannot lose its transfer to its own QUIT.
 """
 
 from __future__ import annotations
 
+import itertools
+import selectors
 import socket
 import threading
 import time
@@ -37,8 +44,11 @@ from pathlib import Path
 from .protocol import (
     MAX_LINE,
     MAX_NAME,
+    RECIPIENT,
     RECV_SIZE,
+    SENDER,
     Command,
+    Decoded,
     Frame,
     FrameBuffer,
     ProtocolError,
@@ -48,7 +58,7 @@ from .protocol import (
 from .telemetry import SessionMetrics
 
 ACCEPT_POLL_S = 0.2
-DATA_ACCEPT_TIMEOUT_S = 30.0
+DATA_IDLE_S = 30.0
 
 
 def now_mono_ms() -> float:
@@ -63,7 +73,7 @@ def now_epoch_ms() -> float:
 class ServerConfig:
     host: str = "127.0.0.1"
     control_port: int = 0
-    data_port_range: tuple[int, int] = (0, 0)  # (0, 0): ephemeral ports
+    data_port: int = 0  # 0: an ephemeral port
     log_path: str | Path | None = None
 
 
@@ -132,50 +142,6 @@ class _EventLog:
                 self._fh = None
 
 
-class _PortAllocator:
-    """Hands out bound data-channel listeners, one port per live transfer."""
-
-    def __init__(self, host: str, port_range: tuple[int, int]):
-        self._host = host
-        self._range = port_range
-        self._in_use: set[int] = set()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> socket.socket:
-        lo, hi = self._range
-        if (lo, hi) == (0, 0):
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind((self._host, 0))
-            listener.listen(2)
-            with self._lock:
-                self._in_use.add(listener.getsockname()[1])
-            return listener
-        with self._lock:
-            for port in range(lo, hi + 1):
-                if port in self._in_use:
-                    continue
-                listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                try:
-                    listener.bind((self._host, port))
-                except OSError:
-                    listener.close()
-                    continue
-                listener.listen(2)
-                self._in_use.add(port)
-                return listener
-        raise OSError(f"no free data port in {lo}-{hi}")
-
-    def release(self, listener: socket.socket):
-        try:
-            port = listener.getsockname()[1]
-        except OSError:
-            port = None
-        listener.close()
-        if port is not None:
-            with self._lock:
-                self._in_use.discard(port)
-
-
 class _Outbox:
     """Frames on their way out: one ``sendall`` per destination socket,
     under that socket's send lock, at ``flush``.  A handler queues the
@@ -221,19 +187,17 @@ class _Outbox:
         self._queued.clear()
 
 
-def _send_now(session: SessionRecord, frame: Frame) -> None:
-    """Send from a thread that dispatches no batch, such as a transfer's."""
-    out = _Outbox()
-    out.send(session, frame)
-    out.flush()
-
-
 @dataclass
-class _PendingTransfer:
-    sender: str
-    recipient: str
+class _Transfer:
+    """One offer, from FILE_OFFER until its relay starts or it is dropped."""
+
+    id: str
+    sender: SessionRecord
+    recipient: SessionRecord
     filename: str
     size: int
+    deadline: float | None = None  # set at FILE_ACCEPT: both ends are due by then
+    ends: dict[str, socket.socket] = field(default_factory=dict)  # role -> data socket
 
 
 class MessengerServer:
@@ -242,6 +206,7 @@ class MessengerServer:
     def __init__(self, config: ServerConfig):
         self.config = config
         self._listener: socket.socket | None = None
+        self._data_listener: socket.socket | None = None
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []  # live ones, for stop()
         self._threads_lock = threading.Lock()
@@ -250,26 +215,23 @@ class MessengerServer:
         self._history: list[SessionRecord] = []
         self._logins = 0
         self._departures = 0
-        self._pending: list[_PendingTransfer] = []
-        self._pending_lock = threading.Lock()
+        self._transfers: dict[str, _Transfer] = {}  # offered or accepted, not relaying
+        self._transfers_lock = threading.Lock()  # taken inside _registry_lock, never around it
+        self._ids = itertools.count(1)
         self._log = _EventLog(config.log_path)
-        self._ports = _PortAllocator(config.host, config.data_port_range)
         self.start_mono_ms = 0.0
         self.start_epoch_ms = 0.0
 
     # --- lifecycle ---------------------------------------------------------
 
     def start(self) -> "MessengerServer":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        host = self.config.host  # create_server sets SO_REUSEADDR and closes on a failed bind
+        self._listener = socket.create_server((host, self.config.control_port), backlog=64)
         try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.config.host, self.config.control_port))
-            listener.listen(64)
+            self._data_listener = socket.create_server((host, self.config.data_port), backlog=64)
         except OSError:
-            listener.close()
+            self._listener.close()
             raise
-        listener.settimeout(ACCEPT_POLL_S)
-        self._listener = listener
         self.start_mono_ms = now_mono_ms()
         self.start_epoch_ms = now_epoch_ms()
         self._log.write("server_start", detail=f"port={self.port}")
@@ -279,8 +241,11 @@ class MessengerServer:
 
     def stop(self):
         self._stop.set()
-        if self._listener is not None:
-            self._listener.close()
+        for listener in filter(None, (self._listener, self._data_listener)):
+            try:  # refuses connections and wakes the accept loop, which closes it
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         with self._registry_lock:
             records = list(self._registry.values())
         for record in records:
@@ -288,6 +253,7 @@ class MessengerServer:
                 record.conn.close()
             except OSError:
                 pass
+        self._drop(lambda t: True, "server stopped")
         # a thread joined here may have started others, so pop until none is left
         while True:
             with self._threads_lock:
@@ -302,10 +268,9 @@ class MessengerServer:
         """Start a daemon thread for stop() to join; finished ones are dropped
         here, so the list holds the live threads, not one per connection."""
         thread = threading.Thread(target=target, args=args, daemon=True, name=name)
-        thread.start()
-        with self._threads_lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
+        with self._threads_lock:  # listed before it can serve anyone
+            self._threads = [*(t for t in self._threads if t.is_alive()), thread]
+            thread.start()
 
     def __enter__(self) -> "MessengerServer":
         return self
@@ -317,6 +282,11 @@ class MessengerServer:
     def port(self) -> int:
         assert self._listener is not None
         return self._listener.getsockname()[1]
+
+    @property
+    def data_port(self) -> int:
+        assert self._data_listener is not None
+        return self._data_listener.getsockname()[1]
 
     @property
     def address(self) -> tuple[str, int]:
@@ -341,14 +311,38 @@ class MessengerServer:
     # --- control channel ---------------------------------------------------
 
     def _accept_loop(self):
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            self._spawn(self._handle_conn, (conn, addr), f"biokm-conn-{addr[1]}")
+        """Accept on both ports.  A data connection waits here, not in a thread,
+        until its hello is in; its key's data is its hello decoder and deadline."""
+        selector = selectors.DefaultSelector()
+        for listener in (self._listener, self._data_listener):
+            selector.register(listener, selectors.EVENT_READ)
+        try:
+            while not self._stop.is_set():
+                for key, _ in selector.select(ACCEPT_POLL_S):
+                    if key.data is not None:
+                        self._read_hello(selector, key.fileobj, key.data[0])
+                        continue
+                    try:
+                        conn, addr = key.fileobj.accept()
+                    except OSError:  # stop() shut the listener down
+                        continue
+                    if key.fileobj is self._listener:
+                        self._spawn(self._handle_conn, (conn, addr), f"biokm-conn-{addr[1]}")
+                    else:
+                        conn.setblocking(False)
+                        hello = (FrameBuffer(), time.monotonic() + DATA_IDLE_S)
+                        selector.register(conn, selectors.EVENT_READ, hello)
+                now = time.monotonic()  # data connections past their deadline
+                for key in list(selector.get_map().values()):
+                    if key.data is not None and key.data[1] < now:
+                        selector.unregister(key.fileobj)
+                        self._refuse(key.fileobj, "no hello in time")
+                self._drop(lambda t: t.deadline is not None and t.deadline < now,
+                           "data channel never opened")
+        finally:  # the listeners, and data connections still without a hello
+            for key in list(selector.get_map().values()):
+                key.fileobj.close()
+            selector.close()
 
     def _handle_conn(self, conn: socket.socket, addr):
         conn.settimeout(ACCEPT_POLL_S)
@@ -466,6 +460,11 @@ class MessengerServer:
             session.departure_mono_ms = now_mono_ms()
             session.departure_epoch_ms = now_epoch_ms()
             session.metrics.departure_mono_ms = session.departure_mono_ms
+            self._drop(  # its offers, and the transfers still waiting for its end
+                lambda t: (t.sender is session and SENDER not in t.ends)
+                or (t.recipient is session and RECIPIENT not in t.ends),
+                f"{session.nick} departed",
+            )
             self._log.write(kind, nick=session.nick)
             self._log.flush()
 
@@ -489,7 +488,7 @@ class MessengerServer:
     # --- data channel ------------------------------------------------------
 
     def _handle_file_offer(self, out: _Outbox, sender: SessionRecord, frame: Frame):
-        recipient_nick, filename, size_token = frame.args
+        recipient_nick, filename, size_token = frame.args[:3]
         with self._registry_lock:
             recipient = self._registry.get(recipient_nick)
         if recipient is None:
@@ -503,78 +502,121 @@ class MessengerServer:
         if not (size_token.isascii() and size_token.isdigit() and len(size_token) <= 20):
             out.send(sender, Frame(Command.ERR, ("BAD_SIZE",)))
             return
-        size = int(size_token)
-        with self._pending_lock:
-            self._pending.append(
-                _PendingTransfer(sender.nick, recipient_nick, filename, size)
+        with self._transfers_lock:
+            transfer_id = str(next(self._ids))
+            self._transfers[transfer_id] = _Transfer(
+                transfer_id, sender, recipient, filename, int(size_token)
             )
-        out.send(recipient, Frame(Command.FILE_OFFER, (sender.nick, filename, size_token)))
-        self._log.write("file_offer", nick=sender.nick, peer=recipient_nick, bytes_=size, detail=filename)
+        offer = (sender.nick, filename, size_token, transfer_id)
+        out.send(recipient, Frame(Command.FILE_OFFER, offer))
+        self._log.write("file_offer", nick=sender.nick, peer=recipient_nick,
+                        bytes_=int(size_token), detail=f"transfer {transfer_id}: {filename}")
 
     def _handle_file_accept(self, out: _Outbox, recipient: SessionRecord, frame: Frame):
-        sender_nick = frame.args[0]
-        with self._pending_lock:
-            pending = next(
-                (
-                    p
-                    for p in self._pending
-                    if p.sender == sender_nick and p.recipient == recipient.nick
-                ),
-                None,
-            )
-            if pending is not None:
-                self._pending.remove(pending)
-        if pending is None:
+        sender_nick, transfer_id = frame.args[:2]
+        with self._transfers_lock:
+            transfer = self._transfers.get(transfer_id)
+            offered = (transfer is not None and transfer.recipient is recipient
+                       and transfer.sender.nick == sender_nick and transfer.deadline is None)
+            if offered:
+                transfer.deadline = time.monotonic() + DATA_IDLE_S
+        if not offered:
             out.send(recipient, Frame(Command.ERR, ("NO_SUCH_OFFER",)))
             return
-        self._log.write("file_accept", nick=recipient.nick, peer=sender_nick)
-        out.flush()  # what the batch sent so far goes before the transfer's frames
-        self._spawn(
-            self._run_transfer, (pending,), f"biokm-xfer-{pending.sender}-{pending.recipient}"
-        )
+        port = str(self.data_port)
+        out.send(recipient, Frame(Command.FILE_ACCEPT, (sender_nick, transfer_id, RECIPIENT, port)))
+        out.send(transfer.sender,
+                 Frame(Command.FILE_ACCEPT, (recipient.nick, transfer_id, SENDER, port)))
+        self._log.write("file_accept", nick=recipient.nick, peer=sender_nick,
+                        detail=f"transfer {transfer_id}")
 
-    def _run_transfer(self, pending: _PendingTransfer):
-        with self._registry_lock:
-            sender = self._registry.get(pending.sender)
-            recipient = self._registry.get(pending.recipient)
-        if sender is None or recipient is None:
-            return
+    def _read_hello(self, selector, conn: socket.socket, hello: FrameBuffer):
+        """Read what has come of a data connection's hello, and not a byte
+        past it: the chunks that follow are the relay's to read."""
         try:
-            listener = self._ports.acquire()
-        except OSError:
-            _send_now(sender, Frame(Command.ERR, ("NO_DATA_PORT",)))
-            _send_now(recipient, Frame(Command.ERR, ("NO_DATA_PORT",)))
+            peeked = conn.recv(MAX_LINE + 2, socket.MSG_PEEK)
+            if not peeked:
+                raise ConnectionError("closed before its hello")
+            end = peeked.find(b"\n")  # the first LF ends the line if anything does
+            decoded = hello.feed(conn.recv(len(peeked) if end < 0 else end + 1))
+            if not decoded:
+                return
+            selector.unregister(conn)
+            refusal = self._attach(conn, decoded[0])
+        except BlockingIOError:
             return
-        port_token = "%05d" % listener.getsockname()[1]
-        listener.settimeout(DATA_ACCEPT_TIMEOUT_S)
-        channels: list[socket.socket] = []
-        try:
-            # recipient connects first, sender second: accept order is identity
+        except (OSError, ProtocolError) as exc:
+            selector.unregister(conn)
+            refusal = str(exc)
+        if refusal is not None:
+            self._refuse(conn, refusal)
+
+    def _refuse(self, conn: socket.socket, reason: str):
+        conn.close()
+        self._log.write("malformed", detail=f"data channel: {reason}")
+        self._log.flush()
+
+    def _attach(self, conn: socket.socket, decoded: Decoded) -> str | None:
+        """Take one end of an accepted transfer, as its hello names it, and
+        start the relay once both ends are in; or say why not."""
+        if decoded.frame.command is not Command.HELLO:
+            return f"{decoded.frame.command.value} instead of HELLO"
+        transfer_id, role = decoded.frame.args
+        with self._transfers_lock:
+            transfer = self._transfers.get(transfer_id)
+            if (transfer is None or transfer.deadline is None
+                    or role not in (SENDER, RECIPIENT) or role in transfer.ends):
+                return f"no accepted transfer {transfer_id} with a free end {role}"
+            transfer.ends[role] = conn
+            if len(transfer.ends) == 2:  # relaying from here on: out of reach of _drop
+                del self._transfers[transfer_id]
+        session = transfer.sender if role == SENDER else transfer.recipient
+        session.metrics.count_received(decoded.consumed)
+        if role == SENDER:  # the server never writes to a sender's end
             try:
-                for session, peer in ((recipient, pending.sender), (sender, pending.recipient)):
-                    _send_now(session, Frame(Command.FILE_ACCEPT, (peer, port_token)))
-                    channels.append(listener.accept()[0])
-            except OSError:
-                raise _TransferAborted(0, "data channel never opened") from None
-            recipient_conn, sender_conn = channels
-            self._relay_chunks(sender, recipient, sender_conn, recipient_conn, pending.size)
-            self._log.write(
-                "transfer_complete", nick=pending.sender, peer=pending.recipient,
-                bytes_=pending.size, detail=pending.filename,
+                conn.shutdown(socket.SHUT_WR)
+            except OSError:  # reset already; the relay will find out
+                pass
+        if len(transfer.ends) == 2:
+            self._spawn(self._run_transfer, (transfer,), f"biokm-xfer-{transfer_id}")
+        return None
+
+    def _drop(self, doomed, reason: str):
+        """Take out every transfer for which ``doomed(t)``: log the accepted
+        ones as aborted, then close their ends."""
+        with self._transfers_lock:
+            dropped = [t for t in self._transfers.values() if doomed(t)]
+            for transfer in dropped:
+                del self._transfers[transfer.id]
+        for transfer in dropped:
+            if transfer.deadline is not None:
+                self._log_transfer("transfer_aborted", transfer, reason)
+        self._log.flush()  # before an end can see its channel close
+        for transfer in dropped:
+            for conn in transfer.ends.values():
+                conn.close()
+
+    def _run_transfer(self, transfer: _Transfer):
+        sender_conn, recipient_conn = transfer.ends[SENDER], transfer.ends[RECIPIENT]
+        try:
+            for conn in (sender_conn, recipient_conn):
+                conn.settimeout(DATA_IDLE_S)
+            self._relay_chunks(
+                transfer.sender, transfer.recipient, sender_conn, recipient_conn, transfer.size
             )
+            self._log_transfer("transfer_complete", transfer, transfer.filename, transfer.size)
         except _TransferAborted as exc:
-            self._log.write(
-                "transfer_aborted", nick=pending.sender, peer=pending.recipient,
-                bytes_=exc.partial, detail=str(exc),
-            )
+            self._log_transfer("transfer_aborted", transfer, str(exc), exc.partial)
         finally:
             self._log.flush()  # before the recipient can see its channel close
-            for sock in channels:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            self._ports.release(listener)
+            sender_conn.close()
+            recipient_conn.close()
+
+    def _log_transfer(self, kind: str, transfer: _Transfer, note: str, bytes_: int = 0):
+        self._log.write(
+            kind, nick=transfer.sender.nick, peer=transfer.recipient.nick, bytes_=bytes_,
+            detail=f"transfer {transfer.id}: {note}",
+        )
 
     def _relay_chunks(self, sender, recipient, sender_conn, recipient_conn, size: int):
         """Forward each chunk, checked and counted, as the bytes received.
@@ -582,7 +624,6 @@ class MessengerServer:
         the offered ``size`` has come through."""
         stream = FrameBuffer(chunks=True)
         relayed = 0
-        sender_conn.settimeout(DATA_ACCEPT_TIMEOUT_S)
         while True:
             try:
                 chunks = stream.recv(sender_conn)

@@ -240,7 +240,7 @@ def scripted_c1(address):
 def test_failed_transfer_names_client_peer_and_role(tmp_path, monkeypatch):
     # the offering peer never opens its end of the data channel, so the
     # server gives up and the scripted recipient's channel closes early
-    monkeypatch.setattr(server_module, "DATA_ACCEPT_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(server_module, "DATA_IDLE_S", 0.5)
     with start_server(ServerConfig()) as server:
         client = scripted_c1(server.address)
         client.connect_and_probe()
@@ -253,7 +253,7 @@ def test_failed_transfer_names_client_peer_and_role(tmp_path, monkeypatch):
         peer.close()
     error = client.error
     assert isinstance(error, ScenarioFailed)
-    assert str(error).startswith("c1: recipient data channel with c2 on port ")
+    assert str(error).startswith("c1: recipient data channel with c2 for transfer 1 on port ")
     assert isinstance(error.__cause__, OSError)
 
 
@@ -261,7 +261,7 @@ def test_abandoned_data_channel_closes_recipient_socket(monkeypatch):
     # the offering peer never connects to the data port; the server must
     # close the recipient's accepted half itself, not leave it to the
     # garbage collector (which warns about an unclosed socket)
-    monkeypatch.setattr(server_module, "DATA_ACCEPT_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(server_module, "DATA_IDLE_S", 0.5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with start_server(ServerConfig()) as server:
@@ -283,21 +283,12 @@ def test_abandoned_data_channel_closes_recipient_socket(monkeypatch):
     ] == []
 
 
-def test_offer_waits_for_unfinished_transfer_from_same_peer(monkeypatch):
-    monkeypatch.setattr(loadgen, "CLIENT_TIMEOUT_S", 0.1)
-    client = scripted_c1(("127.0.0.1", 0))
-    client._incoming_peer = "c2"
-    with pytest.raises(ScenarioFailed, match="c1: file 1 to c2 stalled"):
-        client._do_transfer(ScheduleEvent(0.0, "c1", "transfer", "c2", 10, 1))
-    assert client._outgoing_peer is None
-
-
 def test_accept_on_closed_control_socket_is_recorded():
     client = scripted_c1(("127.0.0.1", 0))
     client._sock = socket.socket()
     client._sock.close()
-    client._offer_queue.append(("c2", "f0.bin", 10))
-    client._pump_accepts()  # must not raise in the calling data thread
+    # must not raise in the reader thread
+    client._react(Frame(Command.FILE_OFFER, ("c2", "f0.bin", "10", "1")), b"")
     assert isinstance(client.error, ScenarioFailed)
     assert "c1: cannot accept file from c2" in str(client.error)
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import socket
 import tempfile
 import time
@@ -58,6 +59,7 @@ class RawClient:
         return self.frames.pop(0)
 
     def login(self, nick: str):
+        self.nick = nick
         self.send(Frame(Command.LOGIN, (nick,)))
         decoded = self.read_frame()
         return decoded.frame
@@ -343,24 +345,40 @@ def test_message_requires_login(server):
 # --- file transfer -----------------------------------------------------------
 
 
+def open_end(server, transfer_id: str, role: str) -> socket.socket:
+    """One end of a transfer: a data connection that has sent its hello."""
+    conn = socket.create_connection((server.config.host, server.data_port), timeout=5.0)
+    conn.sendall(encode_frame(Frame(Command.HELLO, (transfer_id, role))))
+    return conn
+
+
+def offer_and_accept(server, sender, recipient, size: int, name: str = "f.bin") -> str:
+    """Broker one transfer between two logged-in raw clients; returns its id."""
+    sender.send(Frame(Command.FILE_OFFER, (recipient.nick, name, str(size))))
+    offer = recipient.read_frame().frame
+    transfer_id = offer.args[3]
+    assert offer == Frame(Command.FILE_OFFER, (sender.nick, name, str(size), transfer_id))
+    recipient.send(Frame(Command.FILE_ACCEPT, (sender.nick, transfer_id)))
+    port = str(server.data_port)
+    assert recipient.read_frame().frame == Frame(
+        Command.FILE_ACCEPT, (sender.nick, transfer_id, "recipient", port)
+    )
+    assert sender.read_frame().frame == Frame(
+        Command.FILE_ACCEPT, (recipient.nick, transfer_id, "sender", port)
+    )
+    return transfer_id
+
+
 def open_transfer(server, size: int):
     """Broker one alice -> bob transfer of ``size`` bytes; returns both
     control clients and both data sockets."""
     a, b = RawClient(server.address), RawClient(server.address)
     a.login("alice")
     b.login("bob")
-    a.send(Frame(Command.FILE_OFFER, ("bob", "f.bin", str(size))))
-    offer = b.read_frame().frame
-    assert offer == Frame(Command.FILE_OFFER, ("alice", "f.bin", str(size)))
-    b.send(Frame(Command.FILE_ACCEPT, ("alice", "00000")))
-    accept_b = b.read_frame().frame
-    assert accept_b.command is Command.FILE_ACCEPT
-    port = int(accept_b.args[1])
-    data_b = socket.create_connection((server.config.host, port), timeout=5.0)
-
-    accept_a = a.read_frame().frame
-    assert accept_a == Frame(Command.FILE_ACCEPT, ("bob", "%05d" % port))
-    data_a = socket.create_connection((server.config.host, port), timeout=5.0)
+    transfer_id = offer_and_accept(server, a, b, size)
+    assert transfer_id == "1"
+    data_b = open_end(server, transfer_id, "recipient")
+    data_a = open_end(server, transfer_id, "sender")
     return a, b, data_a, data_b
 
 
@@ -425,16 +443,19 @@ def test_100kib_transfer_conserves_bytes(server, tmp_path):
     )
     # server-side conservation: chunks read from the sender equal chunks
     # written to the recipient, byte for byte (alice sent LOGIN + FILE_OFFER
-    # on control; bob was sent OK + FILE_OFFER + FILE_ACCEPT)
+    # on control and a HELLO on data; bob was sent OK + FILE_OFFER + FILE_ACCEPT)
     snap = server.snapshot().sessions
-    chunks_in = snap["alice"].packets_received - 2
+    chunks_in = snap["alice"].packets_received - 3
     chunks_out = snap["bob"].packets_sent - 3
     assert chunks_in == chunks_out == 3  # 64 KiB + 36 KiB + terminator
-    alice_control = len(b"LOGIN alice\r\n") + len(b"FILE_OFFER bob f.bin 102400\r\n")
+    alice_control = (
+        len(b"LOGIN alice\r\n") + len(b"FILE_OFFER bob f.bin 102400\r\n")
+        + len(b"HELLO 1 sender\r\n")
+    )
     bob_control = (
         len(b"OK\r\n")
-        + len(b"FILE_OFFER alice f.bin 102400\r\n")
-        + len(b"FILE_ACCEPT alice 00000\r\n")
+        + len(b"FILE_OFFER alice f.bin 102400 1\r\n")
+        + len(b"FILE_ACCEPT alice 1 recipient %d\r\n" % server.data_port)
     )
     data_in = snap["alice"].bytes_received - alice_control
     data_out = snap["bob"].bytes_sent - bob_control
@@ -455,19 +476,22 @@ def test_relay_forwards_chunks_as_sent_and_counts_each(server):
         received += data
     data_a.close(), data_b.close()
     assert received == wire
-    alice_in = [b"LOGIN alice\r\n", b"FILE_OFFER bob f.bin 66537\r\n"]
-    alice_out = [b"OK\r\n", b"FILE_ACCEPT bob %05d\r\n" % port]
-    bob_in = [b"LOGIN bob\r\n", b"FILE_ACCEPT alice 00000\r\n"]
+    alice_in = [
+        b"LOGIN alice\r\n", b"FILE_OFFER bob f.bin 66537\r\n", b"HELLO 1 sender\r\n"
+    ]
+    alice_out = [b"OK\r\n", b"FILE_ACCEPT bob 1 sender %d\r\n" % port]
+    bob_in = [b"LOGIN bob\r\n", b"FILE_ACCEPT alice 1\r\n", b"HELLO 1 recipient\r\n"]
     bob_out = [
-        b"OK\r\n", b"FILE_OFFER alice f.bin 66537\r\n", b"FILE_ACCEPT alice %05d\r\n" % port
+        b"OK\r\n", b"FILE_OFFER alice f.bin 66537 1\r\n",
+        b"FILE_ACCEPT alice 1 recipient %d\r\n" % port,
     ]
     alice, bob = server.snapshot().sessions["alice"], server.snapshot().sessions["bob"]
     assert (alice.packets_received, alice.bytes_received) == (
-        2 + 4, len(b"".join(alice_in)) + len(wire)
+        3 + 4, len(b"".join(alice_in)) + len(wire)
     )
     assert (bob.packets_sent, bob.bytes_sent) == (3 + 4, len(b"".join(bob_out)) + len(wire))
     assert (alice.packets_sent, alice.bytes_sent) == (2, len(b"".join(alice_out)))
-    assert (bob.packets_received, bob.bytes_received) == (2, len(b"".join(bob_in)))
+    assert (bob.packets_received, bob.bytes_received) == (3, len(b"".join(bob_in)))
     a.close(), b.close()
 
 
@@ -498,7 +522,7 @@ def test_aborted_transfer_keeps_control_channels(server, tmp_path):
     assert wait_until(
         lambda: any(
             e["kind"] == "transfer_aborted" and e["bytes"] == 65536
-            and e["detail"] == "sender closed mid-transfer"
+            and e["detail"] == "transfer 1: sender closed mid-transfer"
             for e in read_events(tmp_path / "events.jsonl")
         )
     )
@@ -508,6 +532,167 @@ def test_aborted_transfer_keeps_control_channels(server, tmp_path):
     b.send(Frame(Command.LIST))
     assert b.read_frame().frame.command is Command.OK
     a.close(), b.close()
+
+
+def read_chunks(conn) -> tuple[bytes, bool]:
+    """Everything a recipient's end receives up to the server's EOF: the
+    file's bytes, and whether a terminator ended them."""
+    stream, chunks = FrameBuffer(chunks=True), []
+    try:
+        while True:
+            chunks += stream.recv(conn)
+    except ConnectionError:  # EOF
+        pass
+    ended = bool(chunks) and not chunks[-1][0]
+    return b"".join(chunk for chunk, _ in chunks), ended
+
+
+def closed_by_server(conn) -> bool:
+    try:
+        return conn.recv(1) == b""
+    except ConnectionResetError:  # closed with bytes it had not read
+        return True
+
+
+def test_two_files_each_way_in_flight_at_once(server, tmp_path):
+    # four transfers between one pair, all accepted and all ends open
+    # before any data moves; every byte must land in its own transfer
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    bodies, ends = {}, {}
+    for k, (sender, recipient) in enumerate([(a, b), (b, a), (a, b), (b, a)]):
+        body = random.Random(k).randbytes(100_000 + k)
+        transfer_id = offer_and_accept(server, sender, recipient, len(body), f"f{k}.bin")
+        bodies[transfer_id] = body
+        ends[transfer_id] = (open_end(server, transfer_id, "recipient"), None)
+    for transfer_id, body in bodies.items():  # senders second, in halves
+        conn = open_end(server, transfer_id, "sender")
+        conn.sendall(encode_chunk(body[:60_000]))
+        ends[transfer_id] = (ends[transfer_id][0], conn)
+    for transfer_id, body in reversed(bodies.items()):
+        ends[transfer_id][1].sendall(encode_chunk(body[60_000:]) + encode_chunk(b""))
+    for transfer_id, body in bodies.items():
+        recipient_end, sender_end = ends[transfer_id]
+        assert read_chunks(recipient_end) == (body, True)
+        assert closed_by_server(sender_end)
+        recipient_end.close(), sender_end.close()
+    events = read_events(tmp_path / "events.jsonl")
+    complete = {e["detail"]: (e["nick"], e["peer"], e["bytes"])
+                for e in events if e["kind"] == "transfer_complete"}
+    assert complete == {
+        f"transfer {i}: f{k}.bin": (("alice", "bob") if k % 2 == 0 else ("bob", "alice"))
+        + (100_000 + k,)
+        for k, i in enumerate(bodies)
+    }
+    a.close(), b.close()
+
+
+def test_bad_hellos_are_closed_and_leave_other_transfers_alone(server, tmp_path):
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    transfer_id = offer_and_accept(server, a, b, 3)
+    a.send(Frame(Command.FILE_OFFER, ("bob", "g.bin", "3")))  # offered, never accepted
+    unaccepted = b.read_frame().frame.args[3]
+    recipient_end = open_end(server, transfer_id, "recipient")
+    bad = [
+        open_end(server, "99", "sender"),  # unknown id
+        open_end(server, unaccepted, "sender"),  # not accepted
+        open_end(server, transfer_id, "spectator"),  # no such role
+        open_end(server, transfer_id, "recipient"),  # that end is taken
+    ]
+    for wire in [b"x" * 2000, encode_frame(Frame(Command.PING, ("n",)))]:  # overlong; no hello
+        conn = socket.create_connection((server.config.host, server.data_port), timeout=5.0)
+        conn.sendall(wire)
+        bad.append(conn)
+    for conn in bad:
+        assert closed_by_server(conn)
+        conn.close()
+    sender_end = open_end(server, transfer_id, "sender")
+    sender_end.sendall(encode_chunk(b"abc") + encode_chunk(b""))
+    assert read_chunks(recipient_end) == (b"abc", True)
+    recipient_end.close(), sender_end.close()
+    events = read_events(tmp_path / "events.jsonl")
+    refusals = [e["detail"] for e in events if e["kind"] == "malformed"]
+    assert len(refusals) == 6 and all(d.startswith("data channel: ") for d in refusals)
+    assert [e["detail"] for e in events if e["kind"] == "transfer_complete"] == [
+        f"transfer {transfer_id}: f.bin"
+    ]
+    a.close(), b.close()
+
+
+def test_accept_of_a_departed_senders_offer_is_refused(server):
+    # the offer leaves with its sender: neither the accept nor a new
+    # session of the same nick may bring it back
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    a.send(Frame(Command.FILE_OFFER, ("bob", "f.bin", "10")))
+    transfer_id = b.read_frame().frame.args[3]
+    a.send(Frame(Command.QUIT))
+    assert wait_until(lambda: server.snapshot().live_count == 1)
+    b.send(Frame(Command.FILE_ACCEPT, ("alice", transfer_id)))
+    assert b.read_frame().frame == Frame(Command.ERR, ("NO_SUCH_OFFER",))
+    c = RawClient(server.address)
+    assert c.login("alice").command is Command.OK
+    b.send(Frame(Command.FILE_ACCEPT, ("alice", transfer_id)))
+    assert b.read_frame().frame == Frame(Command.ERR, ("NO_SUCH_OFFER",))
+    c.send(Frame(Command.LIST))
+    assert c.read_frame().frame == Frame(Command.OK, ("alice,bob",))  # and no FILE_ACCEPT
+    a.close(), b.close(), c.close()
+
+
+def test_departures_drop_unaccepted_offers(server):
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    a.sock.sendall(encode_frame(Frame(Command.FILE_OFFER, ("bob", "f.bin", "1"))) * 1000)
+    assert wait_until(lambda: len(server._transfers) == 1000)
+    b.send(Frame(Command.QUIT))  # the recipient leaves
+    assert wait_until(lambda: len(server._transfers) == 0)
+    a.sock.sendall(encode_frame(Frame(Command.FILE_OFFER, ("alice", "f.bin", "1"))) * 1000)
+    assert wait_until(lambda: len(server._transfers) == 1000)
+    a.send(Frame(Command.QUIT))  # the sender leaves
+    assert wait_until(lambda: len(server._transfers) == 0)
+    a.close(), b.close()
+
+
+def test_departure_aborts_a_transfer_missing_its_end(server, tmp_path):
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    transfer_id = offer_and_accept(server, a, b, 10)
+    recipient_end = open_end(server, transfer_id, "recipient")
+    a.send(Frame(Command.QUIT))  # alice never opened her end
+    assert read_chunks(recipient_end) == (b"", False)
+    assert [
+        (e["nick"], e["peer"], e["detail"])
+        for e in read_events(tmp_path / "events.jsonl") if e["kind"] == "transfer_aborted"
+    ] == [("alice", "bob", f"transfer {transfer_id}: alice departed")]
+    assert server._transfers == {}
+    recipient_end.close(), a.close(), b.close()
+
+
+def test_stop_with_a_half_open_transfer_returns_at_once(tmp_path):
+    server = start_server(ServerConfig(log_path=tmp_path / "events.jsonl"))
+    a, b = RawClient(server.address), RawClient(server.address)
+    try:
+        a.login("alice")
+        b.login("bob")
+        transfer_id = offer_and_accept(server, a, b, 10)
+        recipient_end = open_end(server, transfer_id, "recipient")
+        assert wait_until(lambda: len(server._transfers[transfer_id].ends) == 1)
+    finally:
+        started = time.monotonic()
+        server.stop()
+        stop_s = time.monotonic() - started
+    assert stop_s < 1.0
+    assert read_chunks(recipient_end) == (b"", False)
+    assert not [t for t in server._threads if t.is_alive()]
+    assert [e["detail"] for e in read_events(tmp_path / "events.jsonl")
+            if e["kind"] == "transfer_aborted"] == [f"transfer {transfer_id}: server stopped"]
+    recipient_end.close(), a.close(), b.close()
 
 
 # --- robustness --------------------------------------------------------------
@@ -555,7 +740,7 @@ def test_long_names_are_bounded_so_relayed_lines_decode(server):
     a.send(Frame(Command.INVITE, ("bob",)))
     assert b.read_frame().frame == Frame(Command.INVITE, (nick,))
     a.send(Frame(Command.FILE_OFFER, ("bob", name, "9" * 20)))
-    assert b.read_frame().frame == Frame(Command.FILE_OFFER, (nick, name, "9" * 20))
+    assert b.read_frame().frame == Frame(Command.FILE_OFFER, (nick, name, "9" * 20, "1"))
     for args, code in [
         (("bob", name + "f", "1"), "BAD_NAME"),
         (("bob", "\u00e9" * 128, "1"), "BAD_NAME"),  # 128 characters, 256 bytes
