@@ -275,7 +275,7 @@ def test_abandoned_data_channel_closes_recipient_socket(monkeypatch):
             client.close()
             peer.close()
         gc.collect()
-    port = int(re.search(r"on port (\d+)", str(client.error)).group(1))
+    port = int(re.search(r"for transfer 1 on port (\d+)", str(client.error)).group(1))
     server_side = f"laddr=('127.0.0.1', {port})"
     assert [
         str(w.message) for w in caught
