@@ -568,15 +568,15 @@ class MessengerServer:
                     or role not in (SENDER, RECIPIENT) or role in transfer.ends):
                 return f"no accepted transfer {transfer_id} with a free end {role}"
             transfer.ends[role] = conn
+            if role == SENDER:  # under the lock, before _drop may close it
+                try:  # the server never writes to a sender's end
+                    conn.shutdown(socket.SHUT_WR)
+                except OSError:  # reset already; the relay will find out
+                    pass
             if len(transfer.ends) == 2:  # relaying from here on: out of reach of _drop
                 del self._transfers[transfer_id]
         session = transfer.sender if role == SENDER else transfer.recipient
         session.metrics.count_received(decoded.consumed)
-        if role == SENDER:  # the server never writes to a sender's end
-            try:
-                conn.shutdown(socket.SHUT_WR)
-            except OSError:  # reset already; the relay will find out
-                pass
         if len(transfer.ends) == 2:
             self._spawn(self._run_transfer, (transfer,), f"biokm-xfer-{transfer_id}")
         return None
