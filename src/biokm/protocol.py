@@ -203,18 +203,19 @@ class FrameBuffer:
         self._pos = self._mark = 0  # decoded up to; where the last feed began
         self._chunks = chunks
         self._ended = False
-        self._error: ProtocolError | None = None  # met after frames it returned
+        self.error: ProtocolError | None = None  # the first wire-format error met
         # chunk reads land in one buffer; control connections hold none idle
         self._room = memoryview(bytearray(RECV_SIZE)) if chunks else None
 
     def feed(self, data) -> list:
         """Append ``data``; return the ``Decoded`` frames it completes, or
         in chunk mode its ``(data, consumed)`` chunks.  A wire-format error
-        raises ``ProtocolError``; one met after complete frames is raised by
-        the next ``feed`` or ``recv`` instead, so those frames are returned
-        first, however the stream was split into reads."""
-        if self._error is not None:
-            raise self._error
+        raises ``ProtocolError`` and stays in ``error``; one met after
+        complete frames is raised by the next ``feed`` or ``recv`` instead,
+        so those frames are returned first, however the stream was split
+        into reads."""
+        if self.error is not None:
+            raise self.error
         buf = self._buf
         if self._pos * 2 > len(buf):
             del buf[: self._pos]
@@ -238,17 +239,17 @@ class FrameBuffer:
                     pos += result[1]
                     self._ended = not result[0]
         except ProtocolError as exc:
+            self.error = exc
             if not out:
                 raise
-            self._error = exc
         self._pos = pos
         return out
 
     def recv(self, sock) -> list:
         """Read once from ``sock`` and decode as ``feed`` does; raise
         ConnectionError at EOF."""
-        if self._error is not None:
-            raise self._error
+        if self.error is not None:
+            raise self.error
         data = self._room[: sock.recv_into(self._room)] if self._room else sock.recv(RECV_SIZE)
         if not data:
             raise ConnectionError("connection closed by peer")

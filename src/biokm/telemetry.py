@@ -46,8 +46,9 @@ class CaptureFormatError(ValueError):
 class SessionMetrics:
     """Per-connection counters kept at the socket boundary.
 
-    Counter updates are serialized internally so concurrent connection
-    handlers may increment them without coordination.
+    Updates take a lock.  The server counts from its one thread, but a
+    load-generator client's reader, schedule and data threads share one
+    instance, and ``snapshot()`` may be read from any thread.
     """
 
     packets_sent: int = 0

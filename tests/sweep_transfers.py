@@ -7,8 +7,10 @@ files of 3000 B and a 2 ms gap, over every client count, file count and
 seed in the ranges: 448 scenarios with the defaults.  On return from each
 ``run_scenario`` it checks, without waiting, that the server's event log
 holds every ``transfer_complete``, ``message`` and ``quit`` and no
-``transfer_aborted``, and that its history holds every departure.  Prints
-one line per failure and a summary; exits 1 if any scenario failed.
+``transfer_aborted``, and that its history holds every departure; then
+that ``stop()`` returns within a second and leaves no ``biokm-`` thread.
+Prints one line per failure and a summary; exits 1 if any scenario
+failed.
 pytest does not collect this file.
 """
 
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -34,10 +37,15 @@ def check_one(spec: ScenarioSpec) -> str | None:
     """Run one scenario; return what went wrong, or None."""
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "events.jsonl"
-        with start_server(ServerConfig(log_path=log)) as server:
+        server = start_server(ServerConfig(log_path=log))
+        try:
             run_scenario(spec, server.address, Path(tmp) / "cap.jsonl")
             history = server.session_history()
             kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
+        finally:
+            started = time.monotonic()
+            server.stop()
+            stop_s = time.monotonic() - started
     want = {
         "transfer_complete": spec.clients * spec.files_per_client,
         "message": spec.clients * spec.messages_per_client,
@@ -50,6 +58,11 @@ def check_one(spec: ScenarioSpec) -> str | None:
     departed = sorted(r.nick for r in history if r.departure_mono_ms is not None)
     if departed != sorted(generate_schedule(spec).nicks):
         return f"departures {departed} in the history"
+    if stop_s >= 1.0:
+        return f"stop() took {stop_s:.2f} s"
+    left = [t.name for t in threading.enumerate() if t.name.startswith("biokm-")]
+    if left:
+        return f"threads left after stop(): {left}"
     return None
 
 

@@ -399,15 +399,22 @@ def test_event_log_on_disk_when_run_returns(server, tmp_path):
 
 
 def tampering_relay(tamper):
-    """A stand-in for the server's chunk relay that hands the recipient
-    ``tamper(chunks)`` in place of the chunks the sender sent."""
+    """A stand-in for the server's writes to a recipient's end: it holds a
+    file's chunks back until the terminator is in, then writes
+    ``tamper(chunks)`` in their place."""
+    forward = server_module.MessengerServer._forward
+    held: dict[str, bytearray] = {}
 
-    def relay(self, sender, recipient, sender_conn, recipient_conn, size):
-        stream, chunks = FrameBuffer(chunks=True), []
-        while not chunks or chunks[-1][0]:
-            chunks += stream.recv(sender_conn)
-        data = tamper([chunk for chunk, _ in chunks[:-1]])
-        recipient_conn.sendall(b"".join(encode_chunk(c) for c in [*data, b""]))
+    def relay(self, transfer, data=b""):
+        if transfer.id not in held or held[transfer.id] is not None:
+            wire = held.setdefault(transfer.id, bytearray())
+            wire += data
+            if transfer.outcome is None:
+                return  # the sender is read on
+            held[transfer.id] = None
+            chunks = [chunk for chunk, _ in FrameBuffer(chunks=True).feed(wire)[:-1]]
+            data = b"".join(encode_chunk(c) for c in [*tamper(chunks), b""])
+        forward(self, transfer, data)
 
     return relay
 
@@ -424,7 +431,7 @@ def flip_one_byte(chunks):
 
 @pytest.mark.parametrize("tamper", [swap_first_two, flip_one_byte])
 def test_relayed_bytes_are_checked(tmp_path, monkeypatch, tamper):
-    monkeypatch.setattr(server_module.MessengerServer, "_relay_chunks", tampering_relay(tamper))
+    monkeypatch.setattr(server_module.MessengerServer, "_forward", tampering_relay(tamper))
     spec = ScenarioSpec(  # c1 sends itself one file of three chunks
         mode=Mode.FTP, clients=1, files_per_client=1, file_size=3 * 65536,
         inter_event_gap_ms=0,

@@ -3,6 +3,7 @@ import json
 import random
 import socket
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -21,6 +22,7 @@ from biokm.protocol import (
     encode_chunk,
     encode_frame,
 )
+import biokm.server as server_module
 from biokm.server import ServerConfig, _EventLog, start_server
 from biokm.telemetry import SessionMetrics
 
@@ -90,23 +92,33 @@ def test_fresh_server_has_no_sessions(server):
     assert snap.logins == 0
 
 
-def test_finished_threads_are_dropped_and_live_ones_joined(server):
+def server_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("biokm-")]
+
+
+def test_one_server_thread_serves_every_connection(server):
     for i in range(100):
         client = RawClient(server.address)
         assert client.login(f"s{i}").command is Command.OK
         client.send(Frame(Command.QUIT))
         assert client.sock.recv(65536) == b""  # the server's EOF after QUIT
         client.close()
-    assert len(server._threads) <= 10  # 101 if none were dropped
     live = [RawClient(server.address) for _ in range(3)]
     for i, client in enumerate(live):
         assert client.login(f"live{i}").command is Command.OK
-    threads = list(server._threads)
-    assert len(threads) >= 4  # the accept thread and one per live connection
+    a, b, data_a, data_b = open_transfer(server, 200_000)
+    data_a.sendall(encode_chunk(bytes(65536)))
+    relayed = b""
+    while len(relayed) < 65536 + 4:  # relaying: the first chunk is through
+        relayed += data_b.recv(65536)
+    assert server_threads() == ["biokm-server"]
+    started = time.monotonic()
     server.stop()
-    assert not [t for t in threads if t.is_alive()]
-    for client in live:
+    assert time.monotonic() - started < 1.0
+    assert server_threads() == []
+    for client in [*live, a, b]:
         client.close()
+    data_a.close(), data_b.close()
 
 
 def test_same_port_twice_fails(server):
@@ -241,18 +253,19 @@ def test_bulk_relay_packet_count(server):
     a.close(), b.close()
 
 
-def sendalls_to(monkeypatch, client):
-    """Record the size of every server-side sendall to ``client``."""
+def writes_to(monkeypatch, client):
+    """Record the bytes of every server-side write to ``client``."""
     sizes = []
-    sendall = socket.socket.sendall
+    send = socket.socket.send
     peer = client.sock.getsockname()
 
     def spy(sock, data, *args):
+        sent = send(sock, data, *args)
         if sock.getpeername() == peer:
-            sizes.append(len(data))
-        return sendall(sock, data, *args)
+            sizes.append(sent)
+        return sent
 
-    monkeypatch.setattr(socket.socket, "sendall", spy)
+    monkeypatch.setattr(socket.socket, "send", spy)
     return sizes
 
 
@@ -261,18 +274,18 @@ def test_burst_leaves_in_one_write_per_destination(server, monkeypatch):
     a.login("alice")
     b.login("bob")
     before = server.snapshot().sessions
-    sizes = sendalls_to(monkeypatch, b)
+    sizes = writes_to(monkeypatch, b)
     n = 50
     a.sock.sendall(encode_frame(Frame(Command.MSG, ("bob", "2")), b"hi") * n)
     for _ in range(n):
         assert b.read_frame().frame == Frame(Command.MSG, ("alice", "2"))
+    relayed = len(encode_frame(Frame(Command.MSG, ("alice", "2")), b"hi"))
+    assert wait_until(lambda: sum(sizes) == n * relayed)  # the spy records after the write
     assert 1 <= len(sizes) <= 2  # one per read of the burst, not one per frame
     after = server.snapshot().sessions
-    relayed = len(encode_frame(Frame(Command.MSG, ("alice", "2")), b"hi"))
     assert after["alice"].packets_received == before["alice"].packets_received + n
     assert after["bob"].packets_sent == before["bob"].packets_sent + n
     assert after["bob"].bytes_sent == before["bob"].bytes_sent + n * relayed
-    assert sum(sizes) == n * relayed
     a.close(), b.close()
 
 
@@ -280,7 +293,7 @@ def test_queued_sends_stay_within_one_read(server, monkeypatch):
     a, b = RawClient(server.address), RawClient(server.address)
     a.login("alice")
     b.login("bob")
-    sizes = sendalls_to(monkeypatch, b)
+    sizes = writes_to(monkeypatch, b)
     body = b"x" * 1000
     frame = encode_frame(Frame(Command.MSG, ("bob", str(len(body)))), body)
     n = 300  # 300 kB, several reads' worth
@@ -288,7 +301,7 @@ def test_queued_sends_stay_within_one_read(server, monkeypatch):
     for _ in range(n):
         b.read_frame()
     relayed = len(encode_frame(Frame(Command.MSG, ("alice", str(len(body)))), body))
-    assert sum(sizes) == n * relayed
+    assert wait_until(lambda: sum(sizes) == n * relayed)  # the spy records after the write
     assert max(sizes) < RECV_SIZE + relayed
     a.close(), b.close()
 
@@ -689,7 +702,7 @@ def test_stop_with_a_half_open_transfer_returns_at_once(tmp_path):
         stop_s = time.monotonic() - started
     assert stop_s < 1.0
     assert read_chunks(recipient_end) == (b"", False)
-    assert not [t for t in server._threads if t.is_alive()]
+    assert server_threads() == []
     assert [e["detail"] for e in read_events(tmp_path / "events.jsonl")
             if e["kind"] == "transfer_aborted"] == [f"transfer {transfer_id}: server stopped"]
     recipient_end.close(), a.close(), b.close()
@@ -729,6 +742,56 @@ def test_endless_line_is_refused_and_disconnected(server):
     assert b.read_frame().frame == Frame(Command.OK, ("bob",))
     assert wait_until(lambda: server.snapshot().live_count == 1)
     a.close(), b.close()
+
+
+def test_client_that_never_reads_is_dropped_after_whole_frames(server, tmp_path):
+    # bob never reads while alice sends him 18 MB; once more than SENDQ_MAX
+    # bytes wait for him he is dropped, so he gets whole frames, then EOF
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    body = bytes(range(256)) * 234 + bytes(96)
+    n = 300
+    a.sock.sendall(encode_frame(Frame(Command.MSG, ("bob", str(len(body)))), body) * n)
+    a.send(Frame(Command.LIST))
+    refused = 0
+    while (reply := a.read_frame().frame) != Frame(Command.OK, ("alice",)):
+        assert reply == Frame(Command.ERR, ("NO_SUCH_USER",))  # bob is gone
+        refused += 1
+    got = []
+    with pytest.raises(ConnectionError):  # EOF, after the last whole frame
+        while True:
+            got.append(b.read_frame())
+    relayed = Frame(Command.MSG, ("alice", str(len(body))))
+    assert got and all(d.frame == relayed and d.payload == body for d in got)
+    assert len(got) <= n - refused and refused > 0
+    assert b.buffer.pending() < len(encode_frame(relayed, body))
+    snap = server.snapshot()
+    assert (snap.departures, set(snap.sessions)) == (1, {"alice"})
+    assert [
+        (e["nick"], e["detail"])
+        for e in read_events(tmp_path / "events.jsonl") if e["kind"] == "disconnect"
+    ] == [("bob", f"send queue over {server_module.SENDQ_MAX} bytes")]
+    a.close(), b.close()
+
+
+def test_history_is_bounded_and_departures_exact(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "HISTORY_MAX", 5)
+    with start_server(ServerConfig(log_path=tmp_path / "events.jsonl")) as server:
+        for i in range(20):
+            client = RawClient(server.address)
+            assert client.login(f"s{i}").command is Command.OK
+            client.send(Frame(Command.QUIT))
+            assert client.sock.recv(65536) == b""
+            client.close()
+        live = RawClient(server.address)
+        assert live.login("live").command is Command.OK
+        history = server.session_history()
+        snap = server.snapshot()
+        assert [r.conn is None for r in history] == [True] * 5 + [False]  # no departed socket
+        live.close()
+    assert [r.nick for r in history] == [f"s{i}" for i in range(15, 20)] + ["live"]
+    assert (snap.logins, snap.departures) == (21, 20)
 
 
 def test_long_names_are_bounded_so_relayed_lines_decode(server):
