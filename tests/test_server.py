@@ -111,6 +111,8 @@ def test_one_server_thread_serves_every_connection(server):
     relayed = b""
     while len(relayed) < 65536 + 4:  # relaying: the first chunk is through
         relayed += data_b.recv(65536)
+    half_open = open_end(server, offer_and_accept(server, a, b, 10), "recipient")
+    assert wait_until(lambda: len(server._transfers["2"].ends) == 1)
     assert server_threads() == ["biokm-server"]
     started = time.monotonic()
     server.stop()
@@ -118,7 +120,7 @@ def test_one_server_thread_serves_every_connection(server):
     assert server_threads() == []
     for client in [*live, a, b]:
         client.close()
-    data_a.close(), data_b.close()
+    data_a.close(), data_b.close(), half_open.close()
 
 
 def test_same_port_twice_fails(server):
