@@ -404,14 +404,15 @@ def tampering_relay(tamper):
     ``tamper(chunks)`` in their place."""
     forward = server_module.MessengerServer._forward
     held: dict[str, bytearray] = {}
+    released: set[str] = set()
 
     def relay(self, transfer, data=b""):
-        if transfer.id not in held or held[transfer.id] is not None:
-            wire = held.setdefault(transfer.id, bytearray())
-            wire += data
+        if transfer.id not in released:
+            held.setdefault(transfer.id, bytearray()).extend(data)
             if transfer.outcome is None:
                 return  # the sender is read on
-            held[transfer.id] = None
+            released.add(transfer.id)
+            wire = held.pop(transfer.id)
             chunks = [chunk for chunk, _ in FrameBuffer(chunks=True).feed(wire)[:-1]]
             data = b"".join(encode_chunk(c) for c in [*tamper(chunks), b""])
         forward(self, transfer, data)
