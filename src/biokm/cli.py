@@ -28,8 +28,7 @@ def _parse_address(text: str) -> tuple[str, int]:
 def _cmd_serve(args) -> int:
     from . import server
 
-    config = server.ServerConfig(host=args.host, control_port=args.port,
-                                 data_port=args.data_port, log_path=args.log)
+    config = server.ServerConfig(host=args.host, control_port=args.port, log_path=args.log)
     handle = server.start_server(config)
     print(f"listening on {handle.config.host}:{handle.port}", flush=True)
     try:
@@ -193,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the relay server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=6667)
-    p.add_argument("--data-port", type=int, default=0,
-                   help="port for every transfer's data connections (default: ephemeral)")
     p.add_argument("--log", default=None, help="event log path (JSON lines)")
     p.add_argument("--runtime", type=float, default=None,
                    help="exit after this many seconds (default: run forever)")

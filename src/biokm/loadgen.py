@@ -26,9 +26,10 @@ chunks fails the run.
 A client accepts every offer as it arrives and binds each transfer by
 the id the server gives it: the relayed offer carries the id, and each
 FILE_ACCEPT announcement the id and the client's role, so transfers with
-one peer may overlap in both directions.  A client sends its own files
-one at a time from its schedule thread, and reads each incoming file in
-a thread of its own.
+one peer may overlap in both directions.  Each end is a connection of
+its own to the server's port, opened with a hello.  A client sends its
+own files one at a time from its schedule thread, and reads each
+incoming file in a thread of its own.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ def file_body(seed: int, sender: str, filename: str, size: int) -> bytes:
     MAX_CHUNK is no multiple of the period."""
     block = random.Random(f"{seed}:{sender}:{filename}").randbytes(min(size, BODY_PERIOD))
     return (block * (size // BODY_PERIOD + 1))[:size]
+
+
+def _connect(address: tuple[str, int]) -> socket.socket:
+    """A client socket; small frames never wait out the peer's delayed ACK."""
+    sock = socket.create_connection(address, timeout=CLIENT_TIMEOUT_S)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 class InvalidSpec(ValueError):
@@ -257,7 +265,7 @@ class _ScriptedClient:
         # accepted transfer id -> (sender, file name, size), until its data is in
         self._incoming: dict[str, tuple[str, str, int]] = {}
         self._offered_to: str | None = None  # the peer of this client's open offer
-        self._outgoing: tuple[str, int] | None = None  # that offer's (id, port), once announced
+        self._outgoing: str | None = None  # that offer's id, once announced
         self._channels: set[socket.socket] = set()  # open data channels
         self._reader: threading.Thread | None = None
         self._data_threads: list[threading.Thread] = []
@@ -265,7 +273,7 @@ class _ScriptedClient:
     # -- connection setup ----------------------------------------------------
 
     def connect_and_probe(self):
-        self._sock = socket.create_connection(self.address, timeout=CLIENT_TIMEOUT_S)
+        self._sock = _connect(self.address)
         samples = []
         for i in range(RTT_PROBES):
             nonce = f"p{i}"
@@ -352,8 +360,8 @@ class _ScriptedClient:
                 lambda: self._outgoing is not None,
                 f"file {event.index} to {event.peer} stalled",
             )
-            transfer_id, port = self._outgoing
-        self._send_file(event.peer, transfer_id, port, body)
+            transfer_id = self._outgoing
+        self._send_file(event.peer, transfer_id, body)
 
     def _do_quit(self):
         # the schedule fixes how much traffic arrives before departure, so
@@ -394,8 +402,9 @@ class _ScriptedClient:
     # -- reactive side ---------------------------------------------------------
 
     def _read_loop(self):
+        # the socket keeps CLIENT_TIMEOUT_S, which also bounds the schedule
+        # thread's sends on it; close() wakes this read by a shutdown
         sock = self._sock
-        sock.settimeout(0.2)
         try:
             while True:
                 try:
@@ -442,12 +451,12 @@ class _ScriptedClient:
         elif command is Command.ERR:
             self._record(ScenarioFailed(f"{self.nick}: server error {frame.args[0]}"))
 
-    def _bind_transfer(self, peer: str, transfer_id: str, role: str, port: str):
-        """Act on a FILE_ACCEPT announcement: as sender, hand the id and port
-        to the schedule thread; as recipient, read the file in a thread."""
+    def _bind_transfer(self, peer: str, transfer_id: str, role: str):
+        """Act on a FILE_ACCEPT announcement: as sender, hand the id to the
+        schedule thread; as recipient, read the file in a thread."""
         with self._state:
             if role == SENDER and peer == self._offered_to and self._outgoing is None:
-                self._outgoing = (transfer_id, int(port))
+                self._outgoing = transfer_id
                 self._state.notify_all()
                 return
             if role != RECIPIENT or transfer_id not in self._incoming:
@@ -458,19 +467,19 @@ class _ScriptedClient:
                 return
             _, filename, size = self._incoming[transfer_id]
         thread = threading.Thread(
-            target=self._receive_file, args=(peer, transfer_id, filename, size, int(port)),
+            target=self._receive_file, args=(peer, transfer_id, filename, size),
             daemon=True, name=f"client-{self.nick}-recipient-{transfer_id}",
         )
         thread.start()
         self._data_threads.append(thread)
 
     @contextmanager
-    def _channel(self, peer: str, transfer_id: str, role: str, port: int):
+    def _channel(self, peer: str, transfer_id: str, role: str):
         """One end of a transfer: a data connection that close() can shut
         down from outside, and the hello to open it with, counted as sent.
         An error on it is recorded, naming the transfer, and not raised."""
         try:
-            conn = socket.create_connection((self.address[0], port), timeout=CLIENT_TIMEOUT_S)
+            conn = _connect(self.address)
             with self._state:
                 self._channels.add(conn)
             try:
@@ -484,13 +493,13 @@ class _ScriptedClient:
         except (OSError, ProtocolError) as exc:
             failure = ScenarioFailed(
                 f"{self.nick}: {role} data channel with {peer} for transfer {transfer_id} "
-                f"on port {port} failed: {exc}"
+                f"on port {self.address[1]} failed: {exc}"
             )
             failure.__cause__ = exc
             self._record(failure)
 
-    def _send_file(self, peer: str, transfer_id: str, port: int, body: bytes):
-        with self._channel(peer, transfer_id, SENDER, port) as (conn, head):
+    def _send_file(self, peer: str, transfer_id: str, body: bytes):
+        with self._channel(peer, transfer_id, SENDER) as (conn, head):
             # the hello goes in one write with the first chunk; the slice
             # at len(body) is empty: the terminator
             for off in [*range(0, len(body), MAX_CHUNK), len(body)]:
@@ -502,11 +511,11 @@ class _ScriptedClient:
             # on cannot abort the transfer
             conn.recv(1)
 
-    def _receive_file(self, peer: str, transfer_id: str, filename: str, size: int, port: int):
+    def _receive_file(self, peer: str, transfer_id: str, filename: str, size: int):
         stream = FrameBuffer(chunks=True)
         crc = 0
         try:
-            with self._channel(peer, transfer_id, RECIPIENT, port) as (conn, hello):
+            with self._channel(peer, transfer_id, RECIPIENT) as (conn, hello):
                 conn.sendall(hello)
                 chunks = []
                 while not chunks or chunks[-1][0]:

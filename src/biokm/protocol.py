@@ -8,15 +8,17 @@ Two channels ride on TCP:
   exactly as many raw bytes as its second argument gives, a byte count
   in decimal;
 * a binary data channel for file transfers, one connection per end of
-  a transfer: a control line, ``HELLO <id> <role>``, names the transfer
-  the server minted at FILE_OFFER and the end, SENDER or RECIPIENT; then
-  chunks of a 4-byte unsigned big-endian length prefix plus that many
-  opaque bytes, where a zero-length chunk terminates the transfer.
+  a transfer, to the same port: a control line, ``HELLO <id> <role>``,
+  names the transfer the server minted at FILE_OFFER and the end, SENDER
+  or RECIPIENT; then chunks of a 4-byte unsigned big-endian length
+  prefix plus that many opaque bytes, where a zero-length chunk
+  terminates the transfer.
 
 The codecs are pure functions over byte buffers.  ``FrameBuffer`` is the
 one incremental decoder for both channels: it decodes one bytearray in
 place from an offset, and holds at most one incomplete frame or chunk
-beyond the last read.
+beyond the last read.  A HELLO ends its line mode, so the bytes after
+it, in the same read or later ones, decode as chunks.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ ARITY: dict[Command, tuple[int, int]] = {
     Command.PING: (1, 1),
     Command.PONG: (1, 1),
     Command.FILE_OFFER: (3, 4),  # the relayed offer adds the id
-    Command.FILE_ACCEPT: (2, 4),  # the announcements add the role and the port
+    Command.FILE_ACCEPT: (2, 3),  # the announcements add the role
     Command.HELLO: (2, 2),
     Command.QUIT: (0, 0),
     Command.OK: (0, 1),
@@ -195,8 +197,9 @@ def decode_frame(raw: bytes | bytearray, start: int = 0) -> Decoded | NeedMore:
 
 class FrameBuffer:
     """Incremental decoder of control frames, or of data chunks up to the
-    terminator with ``chunks=True``.  The decoded prefix is dropped only
-    once it is more than half the buffer, so each byte moves about once."""
+    terminator with ``chunks=True`` or after a HELLO.  The decoded prefix is
+    dropped only once it is more than half the buffer, so each byte moves
+    about once."""
 
     def __init__(self, chunks: bool = False) -> None:
         self._buf = bytearray()
@@ -204,16 +207,17 @@ class FrameBuffer:
         self._chunks = chunks
         self._ended = False
         self.error: ProtocolError | None = None  # the first wire-format error met
-        # chunk reads land in one buffer; control connections hold none idle
-        self._room = memoryview(bytearray(RECV_SIZE)) if chunks else None
+        self._room: memoryview | None = None  # where chunk reads land; see recv
 
     def feed(self, data) -> list:
         """Append ``data``; return the ``Decoded`` frames it completes, or
-        in chunk mode its ``(data, consumed)`` chunks.  A wire-format error
-        raises ``ProtocolError`` and stays in ``error``; one met after
-        complete frames is raised by the next ``feed`` or ``recv`` instead,
-        so those frames are returned first, however the stream was split
-        into reads."""
+        in chunk mode its ``(data, consumed)`` chunks.  A HELLO is the last
+        frame returned: the bytes after it wait, undecoded, for the next
+        feed, ``feed(b"")`` included.  A wire-format error raises
+        ``ProtocolError`` and stays in ``error``; one met after complete
+        frames is raised by the next ``feed`` or ``recv`` instead, so those
+        frames are returned first, however the stream was split into
+        reads."""
         if self.error is not None:
             raise self.error
         buf = self._buf
@@ -228,6 +232,9 @@ class FrameBuffer:
                 while (result := decode_frame(buf, pos)) is not NEED_MORE:
                     out.append(result)
                     pos += result.consumed
+                    if result.frame.command is Command.HELLO:  # the rest is chunks
+                        self._chunks = True
+                        break
             else:
                 while not self._ended:
                     # a view, not a copy, released before the buffer can resize
@@ -250,6 +257,8 @@ class FrameBuffer:
         ConnectionError at EOF."""
         if self.error is not None:
             raise self.error
+        if self._chunks and self._room is None:  # one buffer, held by readers of chunks only
+            self._room = memoryview(bytearray(RECV_SIZE))
         data = self._room[: sock.recv_into(self._room)] if self._room else sock.recv(RECV_SIZE)
         if not data:
             raise ConnectionError("connection closed by peer")

@@ -2,7 +2,7 @@
 
 The server owns a star topology: every chat message and file transfer
 passes through it.  One thread runs one ``selectors`` loop, which owns
-every socket: both listeners and each control and data connection.
+every socket: the listener and each connection.
 Every frame crossing a logged-in session's socket is counted into that
 session's telemetry, and every event goes to a JSON Lines log with
 wall-clock and monotonic stamps (durations use the monotonic clock).
@@ -19,21 +19,23 @@ transfer ends, before its client can see it.
 
 File transfers are brokered in three steps.  The server mints an id for
 the sender's offer and relays the offer with it.  The recipient's accept
-names the id, and the server announces the id, each end's role and the
-data port to both ends.  Each end connects and opens with a hello naming
-the id and its role, so the server pairs the two by id, in whatever
-order they come.  Chunks then flow sender -> server -> recipient until
-the zero-length terminator, and the sender is read only while the
-recipient's out-buffer is empty.  A data connection may sit idle for
-DATA_IDLE_S at most, waiting for its hello, the other end or a chunk;
-the loop sleeps until the next such deadline.  A departure drops the
-session's offers and aborts each accepted transfer still waiting for
-its end.  The server half-closes a sender's end once it has taken it,
-so a sender that reads that EOF before it quits cannot lose its
-transfer to its own QUIT.
+names the id, and the server announces the id and each end's role to
+both ends.  Each end opens a connection to the same port and, before it
+logs in, sends a hello naming the id and its role; that makes the
+connection the transfer's end, so the server pairs the two by id, in
+whatever order they come.  Chunks then flow sender -> server ->
+recipient until the zero-length terminator, and the sender is read only
+while the recipient's out-buffer is empty.  An accepted transfer may sit
+idle for DATA_IDLE_S at most, waiting for an end or a chunk; the loop
+sleeps until the next such deadline.  A departure drops the session's
+offers and aborts each accepted transfer still waiting for its end.
+The server half-closes a sender's end once it has taken it, so a sender
+that reads that EOF before it quits cannot lose its transfer to its own
+QUIT.
 """
 from __future__ import annotations
 
+import errno
 import heapq
 import itertools
 import selectors
@@ -63,6 +65,7 @@ from .telemetry import SessionMetrics
 DATA_IDLE_S = 30.0
 SENDQ_MAX = 1 << 20  # bytes waiting for a session's client to read: 16 reads' worth
 HISTORY_MAX = 10_000  # departed sessions session_history() keeps
+STOP_POLL_S = 0.1  # how soon stop() is seen while the listener is unwatched
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
@@ -78,7 +81,6 @@ def now_epoch_ms() -> float:
 class ServerConfig:
     host: str = "127.0.0.1"
     control_port: int = 0
-    data_port: int = 0  # 0: an ephemeral port
     log_path: str | Path | None = None
 
 
@@ -144,12 +146,11 @@ class _Conn:
 
     sock: socket.socket
     on_ready: Callable[[_Conn, int], None]
-    buffer: FrameBuffer = field(default_factory=FrameBuffer)  # control frames, or a hello
+    buffer: FrameBuffer = field(default_factory=FrameBuffer)  # frames; after a hello, chunks
     out: bytearray = field(default_factory=bytearray)  # what the kernel has not taken
     events: int = 0
     session: SessionRecord | None = None  # a control connection's, once logged in
     transfer: _Transfer | None = None  # a data connection's, once its hello is in
-    timer: list | None = None  # a data connection's hello deadline
 
 
 @dataclass(eq=False)
@@ -163,7 +164,6 @@ class _Transfer:
     size: int
     timer: list | None = None  # set at FILE_ACCEPT: both ends are due, then each chunk
     ends: dict[str, _Conn] = field(default_factory=dict)  # role -> data connection
-    stream: FrameBuffer | None = None  # the sender's chunks, once both ends are in
     relayed: int = 0
     outcome: str | None = None  # once the sender's terminator is in: "" or what was wrong
 
@@ -173,8 +173,7 @@ class MessengerServer:
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self._listener: socket.socket | None = None
-        self._data_listener: socket.socket | None = None
+        self._listener: _Conn | None = None
         self._selector: selectors.BaseSelector | None = None
         self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -195,30 +194,25 @@ class MessengerServer:
     # --- lifecycle ---------------------------------------------------------
 
     def start(self) -> "MessengerServer":
-        host = self.config.host  # create_server sets SO_REUSEADDR and closes on a failed bind
-        self._listener = socket.create_server((host, self.config.control_port), backlog=64)
-        try:
-            self._data_listener = socket.create_server((host, self.config.data_port), backlog=64)
-        except OSError:
-            self._listener.close()
-            raise
+        # create_server sets SO_REUSEADDR and closes on a failed bind
+        listener = socket.create_server((self.config.host, self.config.control_port), backlog=64)
+        listener.setblocking(False)
+        self._listener = _Conn(listener, self._accept)
         self.start_mono_ms = now_mono_ms()
         self.start_epoch_ms = now_epoch_ms()
         self._log.write("server_start", detail=f"port={self.port}")
         self._log.flush()
         self._selector = selectors.DefaultSelector()
-        for listener in (self._listener, self._data_listener):
-            listener.setblocking(False)
-            self._watch(_Conn(listener, self._accept), _READ)
+        self._watch(self._listener, _READ)
         self._thread = threading.Thread(target=self._serve, daemon=True, name="biokm-server")
         self._thread.start()
         return self
 
     def stop(self):
         self._stopping.set()
-        for listener in filter(None, (self._listener, self._data_listener)):
+        if self._listener is not None:
             try:  # makes the listener readable, which wakes the loop
-                listener.shutdown(socket.SHUT_RDWR)
+                self._listener.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
         if self._thread is not None:
@@ -235,12 +229,7 @@ class MessengerServer:
     @property
     def port(self) -> int:
         assert self._listener is not None
-        return self._listener.getsockname()[1]
-
-    @property
-    def data_port(self) -> int:
-        assert self._data_listener is not None
-        return self._data_listener.getsockname()[1]
+        return self._listener.sock.getsockname()[1]
 
     @property
     def address(self) -> tuple[str, int]:
@@ -267,15 +256,20 @@ class MessengerServer:
         selector = self._selector
         try:
             while not self._stopping.is_set():
-                for key, events in selector.select(self._expire()):
+                timeout = self._expire()
+                if not self._listener.events:  # stop() wakes the loop through it
+                    timeout = min(timeout or STOP_POLL_S, STOP_POLL_S)
+                for key, events in selector.select(timeout):
                     conn = key.data
                     if conn.events:  # not closed or set aside earlier in this pass
                         conn.on_ready(conn, events)
                 self._log.flush()
         finally:  # stop(): what was cut short is logged, then every socket closes
+            self._stopping.set()  # so no _close below watches the listener again
             self._drop(lambda t: True, "server stopped")
             for key in list(selector.get_map().values()):
                 self._close(key.data)
+            self._listener.sock.close()  # unwatched, if it was out of descriptors
             selector.close()
 
     def _watch(self, conn: _Conn, events: int):
@@ -293,9 +287,11 @@ class MessengerServer:
             self._unregister(conn.session, kind)
         self._watch(conn, 0)
         conn.sock.close()
+        if not self._listener.events and not self._stopping.is_set():
+            self._watch(self._listener, _READ)  # a descriptor is free again; see _accept
 
     def _arm(self, item) -> list:
-        """A deadline DATA_IDLE_S from now for a data connection or transfer:
+        """A deadline DATA_IDLE_S from now for an accepted transfer:
         [deadline, item], postponed by setting [0], cancelled by clearing [1]."""
         cell = [time.monotonic() + DATA_IDLE_S, item]
         heapq.heappush(self._timers, (cell[0], next(self._tickets), cell))
@@ -316,9 +312,7 @@ class MessengerServer:
                 continue
             if cell[0] > now:  # postponed: back in line
                 heapq.heappush(timers, (cell[0], next(self._tickets), cell))
-            elif isinstance(item, _Conn):
-                self._refuse(item, "no hello in time")
-            elif item.stream is None:
+            elif len(item.ends) < 2:
                 self._end(item, "data channel never opened")
             else:  # relaying, and nothing moved for DATA_IDLE_S
                 stalled = "recipient write" if item.ends[RECIPIENT].out else "sender read"
@@ -327,15 +321,13 @@ class MessengerServer:
     def _accept(self, listener: _Conn, events: int):
         try:
             sock, _ = listener.sock.accept()
-        except OSError:  # stop() shut it down, or the peer gave up first
+        except OSError as exc:  # stop() shut it down, or the peer gave up first
+            if exc.errno in (errno.EMFILE, errno.ENFILE):  # out of descriptors:
+                self._watch(listener, 0)  # not to spin on it; _close watches it again
             return
         sock.setblocking(False)
-        if listener.sock is self._listener:
-            self._watch(_Conn(sock, self._on_control), _READ)
-        else:
-            conn = _Conn(sock, self._on_hello)
-            conn.timer = self._arm(conn)
-            self._watch(conn, _READ)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # no delayed-ACK stall
+        self._watch(_Conn(sock, self._on_control), _READ)
 
     # --- control channel ---------------------------------------------------
 
@@ -412,6 +404,8 @@ class MessengerServer:
             self._handle_login(conn, frame.args[0], consumed)
         elif command is Command.QUIT:
             return "quit"
+        elif command is Command.HELLO and session is None:
+            self._take_end(conn, frame, consumed)
         elif session is None:
             self._send(conn, Frame(Command.ERR, ("NOT_LOGGED_IN",)))
         elif command is Command.MSG:
@@ -440,7 +434,8 @@ class MessengerServer:
         elif command is Command.FILE_ACCEPT:
             self._handle_file_accept(conn, frame)
         else:
-            # clients have no business sending OK / ERR / PONG / HELLO
+            # clients have no business sending OK / ERR / PONG, nor a
+            # logged-in session a HELLO
             self._log.write("malformed", nick=session.nick, detail=f"unexpected {command.value}")
             self._send(conn, Frame(Command.ERR, ("MALFORMED",)))
             return "disconnect"
@@ -518,42 +513,27 @@ class MessengerServer:
             self._send(conn, Frame(Command.ERR, ("NO_SUCH_OFFER",)))
             return
         transfer.timer = self._arm(transfer)  # both ends are due by then
-        port = str(self.data_port)
-        self._send(conn, Frame(Command.FILE_ACCEPT, (sender_nick, transfer_id, RECIPIENT, port)))
+        self._send(conn, Frame(Command.FILE_ACCEPT, (sender_nick, transfer_id, RECIPIENT)))
         self._send(transfer.sender.conn,
-                   Frame(Command.FILE_ACCEPT, (recipient, transfer_id, SENDER, port)))
+                   Frame(Command.FILE_ACCEPT, (recipient, transfer_id, SENDER)))
         self._log.write("file_accept", nick=recipient, peer=sender_nick,
                         detail=f"transfer {transfer_id}")
 
-    def _on_hello(self, conn: _Conn, events: int):
-        """Take one end of an accepted transfer, as its hello names it, and
-        start the relay once both ends are in.  The hello is read and not a
-        byte past it: the chunks that follow are the relay's to read."""
-        try:
-            peeked = conn.sock.recv(MAX_LINE + 2, socket.MSG_PEEK)
-            if not peeked:
-                raise ConnectionError("closed before its hello")
-            end = peeked.find(b"\n")  # the first LF ends the line if anything does
-            decoded = conn.buffer.feed(conn.sock.recv(len(peeked) if end < 0 else end + 1))
-        except BlockingIOError:
-            return
-        except (OSError, ProtocolError) as exc:
-            self._refuse(conn, str(exc))
-            return
-        if not decoded:
-            return
-        frame, _, consumed = decoded[0]
-        if frame.command is not Command.HELLO:
-            self._refuse(conn, f"{frame.command.value} instead of HELLO")
-            return
+    def _take_end(self, conn: _Conn, frame: Frame, consumed: int):
+        """Take a connection that is not logged in as the end of an accepted
+        transfer its hello names; start the relay once both ends are in."""
         transfer_id, role = frame.args
         transfer = self._transfers.get(transfer_id)
         if (transfer is None or transfer.timer is None
                 or role not in (SENDER, RECIPIENT) or role in transfer.ends):
-            self._refuse(conn, f"no accepted transfer {transfer_id} with a free end {role}")
+            self._close(conn)
+            self._log.write("malformed", detail=f"data channel: no accepted transfer "
+                                                f"{transfer_id} with a free end {role}")
             return
-        conn.timer[1] = None
+        if conn.out:  # replies to what came before the hello
+            self._write(conn)
         self._watch(conn, 0)  # set aside until the relay needs it
+        conn.on_ready = self._relay
         conn.transfer = transfer
         transfer.ends[role] = conn
         session = transfer.sender if role == SENDER else transfer.recipient
@@ -563,30 +543,24 @@ class MessengerServer:
                 conn.sock.shutdown(socket.SHUT_WR)
             except OSError:  # reset already; the relay will find out
                 pass
-        if len(transfer.ends) == 2:
-            transfer.stream = FrameBuffer(chunks=True)
-            transfer.timer[0] = time.monotonic() + DATA_IDLE_S
-            for side in transfer.ends.values():
-                side.on_ready = self._relay
+        if len(transfer.ends) == 2:  # relay, first what came with the sender's hello
             self._watch(transfer.ends[SENDER], _READ)
-
-    def _refuse(self, conn: _Conn, reason: str):
-        conn.timer[1] = None
-        self._close(conn)
-        self._log.write("malformed", detail=f"data channel: {reason}")
+            self._relay(transfer.ends[SENDER], 0)
 
     def _relay(self, conn: _Conn, events: int):
         """Either end's handler: write the recipient's leftover, or else read
         the sender and forward each chunk, checked and counted, as the bytes
         received.  The recipient's terminator is the server's own, written
-        only once the offered size has come through."""
+        only once the offered size has come through.  With no ``events``,
+        decode what the sender's buffer holds, without a read."""
         transfer = conn.transfer
         transfer.timer[0] = time.monotonic() + DATA_IDLE_S
         if transfer.ends[RECIPIENT].out:
             self._forward(transfer)
             return
+        stream = transfer.ends[SENDER].buffer
         try:
-            chunks = transfer.stream.recv(transfer.ends[SENDER].sock)
+            chunks = stream.recv(transfer.ends[SENDER].sock) if events else stream.feed(b"")
         except BlockingIOError:
             return
         except (OSError, ProtocolError) as exc:
@@ -609,7 +583,7 @@ class MessengerServer:
             transfer.relayed += len(chunk)
         if tail:
             transfer.recipient.metrics.count_sent(len(tail))
-        with transfer.stream.wire() as wire:
+        with stream.wire() as wire:
             # one write, so the terminator never trails in a segment of its own
             self._forward(transfer, wire if transfer.outcome is None
                           else b"".join((wire[:-4], tail)))

@@ -7,7 +7,8 @@ files of 3000 B and a 2 ms gap, over every client count, file count and
 seed in the ranges: 448 scenarios with the defaults.  On return from each
 ``run_scenario`` it checks, without waiting, that the server's event log
 holds every ``transfer_complete``, ``message`` and ``quit`` and no
-``transfer_aborted``, and that its history holds every departure; then
+``transfer_aborted`` or ``malformed`` (a data end whose chunks were read
+as control lines), and that its history holds every departure; then
 that ``stop()`` returns within a second and leaves no ``biokm-`` thread.
 Prints one line per failure and a summary; exits 1 if any scenario
 failed.
@@ -51,6 +52,7 @@ def check_one(spec: ScenarioSpec) -> str | None:
         "message": spec.clients * spec.messages_per_client,
         "quit": spec.clients,
         "transfer_aborted": 0,
+        "malformed": 0,
     }
     got = {kind: kinds.count(kind) for kind in want}
     if got != want:

@@ -20,7 +20,7 @@ from biokm.loadgen import (
     generate_schedule,
     run_scenario,
 )
-from biokm.protocol import Command, Frame, FrameBuffer, encode_chunk
+from biokm.protocol import MAX_PAYLOAD, Command, Frame, FrameBuffer, encode_chunk, encode_frame
 from biokm.server import ServerConfig, now_mono_ms, start_server
 from biokm.telemetry import analyze_capture, read_capture
 from test_server import RawClient, wait_until
@@ -281,6 +281,52 @@ def test_abandoned_data_channel_closes_recipient_socket(monkeypatch):
         str(w.message) for w in caught
         if issubclass(w.category, ResourceWarning) and server_side in str(w.message)
     ] == []
+
+
+def slow_reader(listener, messages: int, got: list):
+    """A stand-in server for one client: it answers the probes and the
+    login, reads nothing for 1 s, then reads ``messages`` MSGs."""
+    conn, _ = listener.accept()
+    with conn:
+        conn.settimeout(10.0)
+        buffer = FrameBuffer()
+        try:
+            while len(got) < messages:
+                for frame, payload, _ in buffer.recv(conn):
+                    if frame.command is Command.PING:
+                        conn.sendall(encode_frame(Frame(Command.PONG, frame.args)))
+                    elif frame.command is Command.LOGIN:
+                        conn.sendall(encode_frame(Frame(Command.OK)))
+                        time.sleep(1.0)
+                    elif frame.command is Command.MSG:
+                        got.append(payload)
+        except OSError:  # the client gave up
+            pass
+
+
+def test_sends_outlast_a_peer_that_reads_late():
+    # the reader thread's recv and the schedule thread's sendall share the
+    # control socket, so a short poll timeout there would cut sends short
+    n = 200  # 13 MB of MSGs: more than loopback buffers while nobody reads
+    spec = ScenarioSpec(mode=Mode.IRCD, clients=2, messages_per_client=n,
+                        message_size=MAX_PAYLOAD)
+    events = [ScheduleEvent(0.0, "c1", "login")] + [
+        ScheduleEvent(0.0, "c1", "message", "c2", MAX_PAYLOAD, k) for k in range(n)
+    ]
+    got = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = threading.Thread(target=slow_reader, args=(listener, n, got))
+        peer.start()
+        online = {"c1": threading.Event(), "c2": threading.Event()}
+        online["c2"].set()
+        client = _ScriptedClient("c1", listener.getsockname(), spec, online)
+        client.connect_and_probe()
+        client.run(now_mono_ms(), events)
+        peer.join(timeout=20.0)
+        client.close()
+    assert not peer.is_alive()
+    assert client.error is None
+    assert [len(p) for p in got] == [MAX_PAYLOAD] * n
 
 
 def test_accept_on_closed_control_socket_is_recorded():

@@ -96,10 +96,12 @@ def test_decode_double_space_is_malformed():
 
 
 TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_.-"
+# what a stream of control frames may hold: a HELLO ends the frames
+LINE_COMMANDS = [c for c in Command if c is not Command.HELLO]
 
 
 def random_frame(rng: random.Random) -> tuple[Frame, bytes]:
-    command = rng.choice(list(Command))
+    command = rng.choice(LINE_COMMANDS)
     lo, hi = ARITY[command]
     n_args = rng.randint(lo, hi)
     args = [
@@ -241,7 +243,7 @@ TOKENS = st.text(alphabet=TOKEN_CHARS, min_size=1, max_size=12)
 
 @st.composite
 def wire_frames(draw):
-    command = draw(st.sampled_from(list(Command)))
+    command = draw(st.sampled_from(LINE_COMMANDS))
     lo, hi = ARITY[command]
     args = draw(st.lists(TOKENS, min_size=lo, max_size=hi))
     payload = b""
@@ -310,6 +312,26 @@ def test_chunks_decode_alike_under_any_split(sizes, data):
         with decoder.wire() as view:
             wire += view
     assert split == whole
+    assert wire == stream  # what a relay forwards is what arrived
+
+
+@FUZZ
+@given(st.lists(wire_frames(), max_size=4), st.lists(CHUNK_SIZES, max_size=5), st.data())
+def test_hello_then_chunks_decode_alike_under_any_split(frames, sizes, data):
+    # a data end's stream: control frames, a hello, then chunks, which
+    # decode as chunks even when they come in the hello's read
+    hello = Frame(Command.HELLO, ("7", "sender"))
+    rng = random.Random(len(sizes))
+    chunks = [rng.randbytes(n) for n in sizes] + [b""]
+    head = b"".join(encode_frame(f, p) for f, p in [*frames, (hello, b"")])
+    stream = head + b"".join(encode_chunk(c) for c in chunks)
+    decoder, items, wire = FrameBuffer(), [], b""
+    for piece in [*splits(data, stream), b""]:  # b"": what the hello's feed left
+        items.extend(decoder.feed(piece))
+        with decoder.wire() as view:
+            wire += view
+    assert [(d.frame, d.payload) for d in items[: len(frames) + 1]] == [*frames, (hello, b"")]
+    assert items[len(frames) + 1 :] == [(c, 4 + len(c)) for c in chunks]
     assert wire == stream  # what a relay forwards is what arrived
 
 

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import random
@@ -362,7 +363,7 @@ def test_message_requires_login(server):
 
 def open_end(server, transfer_id: str, role: str) -> socket.socket:
     """One end of a transfer: a data connection that has sent its hello."""
-    conn = socket.create_connection((server.config.host, server.data_port), timeout=5.0)
+    conn = socket.create_connection(server.address, timeout=5.0)
     conn.sendall(encode_frame(Frame(Command.HELLO, (transfer_id, role))))
     return conn
 
@@ -374,12 +375,11 @@ def offer_and_accept(server, sender, recipient, size: int, name: str = "f.bin") 
     transfer_id = offer.args[3]
     assert offer == Frame(Command.FILE_OFFER, (sender.nick, name, str(size), transfer_id))
     recipient.send(Frame(Command.FILE_ACCEPT, (sender.nick, transfer_id)))
-    port = str(server.data_port)
     assert recipient.read_frame().frame == Frame(
-        Command.FILE_ACCEPT, (sender.nick, transfer_id, "recipient", port)
+        Command.FILE_ACCEPT, (sender.nick, transfer_id, "recipient")
     )
     assert sender.read_frame().frame == Frame(
-        Command.FILE_ACCEPT, (recipient.nick, transfer_id, "sender", port)
+        Command.FILE_ACCEPT, (recipient.nick, transfer_id, "sender")
     )
     return transfer_id
 
@@ -470,7 +470,7 @@ def test_100kib_transfer_conserves_bytes(server, tmp_path):
     bob_control = (
         len(b"OK\r\n")
         + len(b"FILE_OFFER alice f.bin 102400 1\r\n")
-        + len(b"FILE_ACCEPT alice 1 recipient %d\r\n" % server.data_port)
+        + len(b"FILE_ACCEPT alice 1 recipient\r\n")
     )
     data_in = snap["alice"].bytes_received - alice_control
     data_out = snap["bob"].bytes_sent - bob_control
@@ -484,7 +484,6 @@ def test_relay_forwards_chunks_as_sent_and_counts_each(server):
     chunks = [bytes(range(256)) * 256, b"m" * 1000, b"e", b""]
     wire = b"".join(encode_chunk(c) for c in chunks)
     a, b, data_a, data_b = open_transfer(server, 65536 + 1000 + 1)
-    port = data_a.getpeername()[1]
     data_a.sendall(wire)
     received = bytearray()
     while data := data_b.recv(65536):  # the server closes after the terminator
@@ -494,11 +493,11 @@ def test_relay_forwards_chunks_as_sent_and_counts_each(server):
     alice_in = [
         b"LOGIN alice\r\n", b"FILE_OFFER bob f.bin 66537\r\n", b"HELLO 1 sender\r\n"
     ]
-    alice_out = [b"OK\r\n", b"FILE_ACCEPT bob 1 sender %d\r\n" % port]
+    alice_out = [b"OK\r\n", b"FILE_ACCEPT bob 1 sender\r\n"]
     bob_in = [b"LOGIN bob\r\n", b"FILE_ACCEPT alice 1\r\n", b"HELLO 1 recipient\r\n"]
     bob_out = [
         b"OK\r\n", b"FILE_OFFER alice f.bin 66537 1\r\n",
-        b"FILE_ACCEPT alice 1 recipient %d\r\n" % port,
+        b"FILE_ACCEPT alice 1 recipient\r\n",
     ]
     alice, bob = server.snapshot().sessions["alice"], server.snapshot().sessions["bob"]
     assert (alice.packets_received, alice.bytes_received) == (
@@ -617,10 +616,10 @@ def test_bad_hellos_are_closed_and_leave_other_transfers_alone(server, tmp_path)
         open_end(server, transfer_id, "spectator"),  # no such role
         open_end(server, transfer_id, "recipient"),  # that end is taken
     ]
-    for wire in [b"x" * 2000, encode_frame(Frame(Command.PING, ("n",)))]:  # overlong; no hello
-        conn = socket.create_connection((server.config.host, server.data_port), timeout=5.0)
-        conn.sendall(wire)
-        bad.append(conn)
+    overlong = RawClient(server.address)  # a line no hello fits in
+    overlong.sock.sendall(b"x" * 2000)
+    assert overlong.read_frame().frame == Frame(Command.ERR, ("MALFORMED",))
+    bad.append(overlong.sock)
     for conn in bad:
         assert closed_by_server(conn)
         conn.close()
@@ -630,10 +629,64 @@ def test_bad_hellos_are_closed_and_leave_other_transfers_alone(server, tmp_path)
     recipient_end.close(), sender_end.close()
     events = read_events(tmp_path / "events.jsonl")
     refusals = [e["detail"] for e in events if e["kind"] == "malformed"]
-    assert len(refusals) == 6 and all(d.startswith("data channel: ") for d in refusals)
+    assert len(refusals) == 5 and "control line longer than 1024 bytes" in refusals
+    assert sum(d.startswith("data channel: ") for d in refusals) == 4
     assert [e["detail"] for e in events if e["kind"] == "transfer_complete"] == [
         f"transfer {transfer_id}: f.bin"
     ]
+    a.close(), b.close()
+
+
+def test_a_file_sent_whole_before_its_recipient_connects_is_relayed(server):
+    # the sender's hello, chunk and terminator arrive in one read, so the
+    # chunks wait in its buffer for the recipient's end, not for DATA_IDLE_S
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    transfer_id = offer_and_accept(server, a, b, 3)
+    sender_end = socket.create_connection(server.address, timeout=5.0)
+    sender_end.sendall(encode_frame(Frame(Command.HELLO, (transfer_id, "sender")))
+                       + encode_chunk(b"abc") + encode_chunk(b""))
+    assert wait_until(lambda: len(server._transfers[transfer_id].ends) == 1)
+    recipient_end = open_end(server, transfer_id, "recipient")
+    assert read_chunks(recipient_end) == (b"abc", True)
+    assert closed_by_server(sender_end)
+    recipient_end.close(), sender_end.close(), a.close(), b.close()
+
+
+def test_a_ping_before_the_hello_is_answered_on_the_data_end(server):
+    # a connection is a control one until its hello: the PONG comes first,
+    # then the file
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    transfer_id = offer_and_accept(server, a, b, 3)
+    pong = encode_frame(Frame(Command.PONG, ("n",)))
+    recipient_end = socket.create_connection(server.address, timeout=5.0)
+    recipient_end.sendall(encode_frame(Frame(Command.PING, ("n",)))
+                          + encode_frame(Frame(Command.HELLO, (transfer_id, "recipient"))))
+    received = b""
+    while len(received) < len(pong):
+        received += recipient_end.recv(65536)
+    sender_end = open_end(server, transfer_id, "sender")
+    sender_end.sendall(encode_chunk(b"abc") + encode_chunk(b""))
+    while data := recipient_end.recv(65536):
+        received += data
+    assert received == pong + encode_chunk(b"abc") + encode_chunk(b"")
+    recipient_end.close(), sender_end.close(), a.close(), b.close()
+
+
+def test_a_hello_after_login_is_malformed(server):
+    a, b = RawClient(server.address), RawClient(server.address)
+    a.login("alice")
+    b.login("bob")
+    transfer_id = offer_and_accept(server, a, b, 3)
+    b.send(Frame(Command.HELLO, (transfer_id, "recipient")))
+    assert b.read_frame().frame == Frame(Command.ERR, ("MALFORMED",))
+    with pytest.raises(ConnectionError):
+        b.read_frame()
+    a.send(Frame(Command.LIST))
+    assert a.read_frame().frame == Frame(Command.OK, ("alice",))
     a.close(), b.close()
 
 
@@ -711,6 +764,41 @@ def test_stop_with_a_half_open_transfer_returns_at_once(tmp_path):
 
 
 # --- robustness --------------------------------------------------------------
+
+
+def test_accept_waits_for_a_free_descriptor(monkeypatch):
+    # out of descriptors, accept() fails and the listener stays readable:
+    # the loop must not spin on it, and must accept once a socket closes
+    server = start_server(ServerConfig())  # stopped below, within a bound
+    accept, calls, full = socket.socket.accept, [], threading.Event()
+
+    def scarce(sock):
+        if full.is_set():
+            calls.append(sock)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", scarce)
+    other = RawClient(server.address)
+    assert other.login("other").command is Command.OK
+    full.set()
+    waiting = RawClient(server.address)
+    waiting.send(Frame(Command.LOGIN, ("waiting",)))
+    assert wait_until(lambda: calls)
+    time.sleep(0.3)
+    assert len(calls) <= 2
+    full.clear()
+    other.close()
+    assert waiting.read_frame().frame == Frame(Command.OK)
+    full.set()  # and stop() closes a listener it no longer watches
+    late = RawClient(server.address)
+    assert wait_until(lambda: len(calls) > 1)
+    stopping = threading.Thread(target=server.stop, daemon=True)
+    stopping.start()
+    stopping.join(timeout=2.0)
+    assert not stopping.is_alive()
+    assert server._listener.sock.fileno() == -1
+    waiting.close(), late.close()
 
 
 def test_malformed_frame_isolated_to_offender(server):

@@ -227,9 +227,7 @@ class ServerMachine(RuleBasedStateMachine):
         return out
 
     def open_end(self, transfer_id: str, session: Session, role: str):
-        conn = socket.create_connection(
-            (self.server.config.host, self.server.data_port), timeout=TIMEOUT_S
-        )
+        conn = socket.create_connection(self.server.address, timeout=TIMEOUT_S)
         hello = wire(Command.HELLO, transfer_id, role)
         session.received(hello)
         return conn, hello
@@ -363,9 +361,8 @@ class ServerMachine(RuleBasedStateMachine):
             accepting.sent(reply)
             client.expect(reply)
             return
-        port = str(self.server.data_port)
-        to_recipient = wire(Command.FILE_ACCEPT, sender.nick, transfer_id, "recipient", port)
-        to_sender = wire(Command.FILE_ACCEPT, recipient.nick, transfer_id, "sender", port)
+        to_recipient = wire(Command.FILE_ACCEPT, sender.nick, transfer_id, "recipient")
+        to_sender = wire(Command.FILE_ACCEPT, recipient.nick, transfer_id, "sender")
         recipient.sent(to_recipient)
         sender.sent(to_sender)
         idle_s = server_module.DATA_IDLE_S
