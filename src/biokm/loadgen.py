@@ -73,13 +73,6 @@ def file_body(seed: int, sender: str, filename: str, size: int) -> bytes:
     return (block * (size // BODY_PERIOD + 1))[:size]
 
 
-def _connect(address: tuple[str, int]) -> socket.socket:
-    """A client socket; small frames never wait out the peer's delayed ACK."""
-    sock = socket.create_connection(address, timeout=CLIENT_TIMEOUT_S)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
-
-
 class InvalidSpec(ValueError):
     pass
 
@@ -273,7 +266,7 @@ class _ScriptedClient:
     # -- connection setup ----------------------------------------------------
 
     def connect_and_probe(self):
-        self._sock = _connect(self.address)
+        self._sock = socket.create_connection(self.address, timeout=CLIENT_TIMEOUT_S)
         samples = []
         for i in range(RTT_PROBES):
             nonce = f"p{i}"
@@ -479,7 +472,7 @@ class _ScriptedClient:
         down from outside, and the hello to open it with, counted as sent.
         An error on it is recorded, naming the transfer, and not raised."""
         try:
-            conn = _connect(self.address)
+            conn = socket.create_connection(self.address, timeout=CLIENT_TIMEOUT_S)
             with self._state:
                 self._channels.add(conn)
             try:

@@ -326,7 +326,6 @@ class MessengerServer:
                 self._watch(listener, 0)  # not to spin on it; _close watches it again
             return
         sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # no delayed-ACK stall
         self._watch(_Conn(sock, self._on_control), _READ)
 
     # --- control channel ---------------------------------------------------
