@@ -8,6 +8,7 @@ drives, so only ``tree``, ``filter`` and ``queue --simulate`` load numpy.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from pathlib import Path
@@ -30,8 +31,12 @@ def _cmd_serve(args) -> int:
 
     config = server.ServerConfig(host=args.host, control_port=args.port, log_path=args.log)
     handle = server.start_server(config)
-    print(f"listening on {handle.config.host}:{handle.port}", flush=True)
+    # both end the wait below; a shell starts a background job with SIGINT
+    # ignored, and then Python raises no KeyboardInterrupt of its own
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     try:
+        print(f"listening on {handle.config.host}:{handle.port}", flush=True)
         if args.runtime is not None:
             time.sleep(args.runtime)
         else:

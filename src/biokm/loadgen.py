@@ -28,19 +28,18 @@ the id the server gives it: the relayed offer carries the id, and each
 FILE_ACCEPT announcement the id and the client's role, so transfers with
 one peer may overlap in both directions.  Each end is a connection of
 its own to the server's port, opened with a hello.  A client sends its
-own files one at a time from its schedule thread, and reads each
-incoming file in a thread of its own.
+own files one at a time.  One ``selectors`` loop in the calling thread
+serves every client of a run, control connections and data ends alike.
 """
 
 from __future__ import annotations
 
 import random
+import selectors
 import socket
 import statistics
-import threading
-import time
 import zlib
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,6 +61,8 @@ from .telemetry import SessionMetrics, run_record, session_record, write_capture
 RTT_PROBES = 5
 CLIENT_TIMEOUT_S = 30.0
 BODY_PERIOD = 65521  # prime, so no chunk boundary falls on a period
+SEND_BATCH = 16384  # bytes a client queues on its control connection per write
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
 def file_body(seed: int, sender: str, filename: str, size: int) -> bytes:
@@ -215,336 +216,323 @@ def generate_schedule(spec: ScenarioSpec) -> Schedule:
 
 
 class _Run:
-    """What the clients of one run share: one condition that guards every
-    client's state, and the run's first failure, which stops them all."""
+    """One run's loop: a selector over every socket of its clients, the
+    nicks whose login is answered, and the first failure, which stops it."""
 
-    def __init__(self):
-        self.cond = threading.Condition()
+    def __init__(self, spec: ScenarioSpec, address: tuple[str, int]):
+        self.spec, self.address = spec, address
+        self.selector = selectors.DefaultSelector()
+        self.clients: list[_ScriptedClient] = []
+        self.online: set[str] = set()
+        self.t0_ms = 0.0  # what schedule offsets count from
         self.failure: Exception | None = None
+
+    def serve(self):
+        """Probe each client's round trip, then run every schedule until each
+        client is done or one fails, keeping that failure; close every socket."""
+        try:
+            for client in self.clients:
+                client.connect_and_probe()
+            self.t0_ms = now_mono_ms()
+            try:
+                while True:
+                    now = now_mono_ms()
+                    wakes = [w for c in self.clients if (w := c.advance(now)) is not None]
+                    if not wakes:
+                        break
+                    timeout = max(0.0, min(wakes) - now_mono_ms()) / 1000.0
+                    for key, events in self.selector.select(timeout):
+                        key.data(events)
+            except Exception as exc:  # noqa: BLE001 - raised by run_scenario
+                self.failure = exc
+        finally:  # what is still open is still registered
+            for key in list(self.selector.get_map().values()):
+                key.fileobj.close()
+            self.selector.close()
 
 
 class _ScriptedClient:
-    """One scripted connection: a schedule executor plus a reactive reader."""
+    """One scripted client in a run's loop: a non-blocking control
+    connection with its decoder and out-buffer, and a cursor over its
+    schedule.  Each of its data ends is a ``_DataEnd``."""
 
-    def __init__(
-        self,
-        nick: str,
-        address: tuple[str, int],
-        spec: ScenarioSpec,
-        online: dict[str, threading.Event],
-        run: _Run | None = None,
-    ):
+    def __init__(self, nick: str, run: _Run, events: list[ScheduleEvent]):
         self.nick = nick
-        self.address = address
-        self.spec = spec
-        # nick -> set once that client's LOGIN is answered; shared by a run
-        self._online = online
-        self._run = run or _Run()
+        self.run = run
+        self.events = events
         self.metrics = SessionMetrics()
         self.rtt_ms: float | None = None
         self.departure_epoch_ms: float | None = None
-        self.error: Exception | None = None
         # message bodies in index order, the order this client sends them in
-        self._msg_bodies = random.Random(f"{spec.seed}:{nick}:msg")
-
-        self._sock: socket.socket | None = None
+        self._msg_bodies = random.Random(f"{run.spec.seed}:{nick}:msg")
+        self.sock: socket.socket | None = None
         self._decoder = FrameBuffer()  # the control channel, RTT probes included
-        self._send_lock = threading.Lock()
-        self._state = self._run.cond
-        self._reader_done = False
-        self._ok_seen = 0
-        self._msgs_received = 0
-        self._files_received = 0
+        self._out = bytearray()  # queued frames the kernel has not taken
+        self._cursor = 0  # the next event
+        self.since = 0.0  # when it last ran an event or moved bytes
+        self._eof = False
+        self._msgs_received = self.files_received = 0
         # accepted transfer id -> (sender, file name, size), until its data is in
-        self._incoming: dict[str, tuple[str, str, int]] = {}
-        self._offered_to: str | None = None  # the peer of this client's open offer
-        self._outgoing: str | None = None  # that offer's id, once announced
-        self._channels: set[socket.socket] = set()  # open data channels
-        self._reader: threading.Thread | None = None
-        self._data_threads: list[threading.Thread] = []
-
-    # -- connection setup ----------------------------------------------------
+        self.incoming: dict[str, tuple[str, str, int]] = {}
+        self.offer: ScheduleEvent | None = None  # open until its sender end sees EOF
+        self.sending: _DataEnd | None = None  # that offer's end, once announced
 
     def connect_and_probe(self):
-        self._sock = socket.create_connection(self.address, timeout=CLIENT_TIMEOUT_S)
+        self.sock = socket.create_connection(self.run.address, timeout=CLIENT_TIMEOUT_S)
+        self.run.selector.register(self.sock, _READ, self._on_control)
         samples = []
         for i in range(RTT_PROBES):
             nonce = f"p{i}"
             t0 = now_mono_ms()
-            self._sock.sendall(encode_frame(Frame(Command.PING, (nonce,))))
+            self.sock.sendall(encode_frame(Frame(Command.PING, (nonce,))))
             got = None
             while got is None:
-                for frame, _, _ in self._decoder.recv(self._sock):
+                for frame, _, _ in self._decoder.recv(self.sock):
                     if frame.command is Command.PONG and frame.args[0] == nonce:
                         got = now_mono_ms() - t0
             samples.append(got)
         self.rtt_ms = statistics.median(samples)
+        self.sock.setblocking(False)
 
-    # -- schedule execution ----------------------------------------------------
+    # -- schedule --------------------------------------------------------------
 
-    def run(self, t0_ms: float, events: list[ScheduleEvent]):
-        try:
-            self._reader = threading.Thread(
-                target=self._read_loop, daemon=True, name=f"client-{self.nick}-reader"
-            )
-            self._reader.start()
-            for event in events:
-                self._sleep_until(t0_ms + event.at_ms)
-                if event.action == "login":
-                    self._do_login()
-                elif event.action == "message":
-                    self._do_message(event)
-                elif event.action == "transfer":
-                    self._do_transfer(event)
-                elif event.action == "quit":
-                    self._do_quit()
-        except Exception as exc:  # noqa: BLE001 - recorded, surfaced by the runner
-            self._record(exc)
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+    def advance(self, now: float) -> float | None:
+        """Run each due event whose wait holds until SEND_BATCH bytes are
+        queued, and write them; a write cut short holds later events back.
+        Return when to look again, or None once done; raise if a wait has
+        stalled for CLIENT_TIMEOUT_S."""
+        if not self._out:
+            wake = self._run_due(now)
+            if self._out:
+                self._flush()
+            if not self._out:
+                return wake
+        return self._deadline(self.since, "control connection stalled", now)
 
-    @staticmethod
-    def _sleep_until(deadline_ms: float):
-        delta = (deadline_ms - now_mono_ms()) / 1000.0
-        if delta > 0:
-            time.sleep(delta)
+    def _run_due(self, now: float) -> float | None:
+        while True:
+            event = self.events[self._cursor] if self._cursor < len(self.events) else None
+            if event is not None and len(self._out) >= SEND_BATCH:
+                return now  # written first, then this goes on
+            due = self.run.t0_ms + event.at_ms if event else 0.0
+            if due > now:
+                return due
+            stalled = self._stalled(event)
+            if stalled is not None:
+                return self._deadline(max(self.since, due), stalled, now)
+            if event is None:
+                return None
+            self._cursor += 1
+            self.since = now
+            self._act(event)
 
-    def _wait(self, ready, stalled: str):
-        """Wait on the run's condition, which the caller holds, until
-        ``ready()``; raise if CLIENT_TIMEOUT_S passes or the run fails."""
-        run = self._run
-        if not self._state.wait_for(
-            lambda: ready() or run.failure is not None, CLIENT_TIMEOUT_S
-        ):
+    def _deadline(self, since: float, stalled: str, now: float) -> float:
+        deadline = since + CLIENT_TIMEOUT_S * 1000.0
+        if now >= deadline:
             raise ScenarioFailed(f"{self.nick}: {stalled}")
-        if run.failure is not None:
-            raise ScenarioFailed(f"{self.nick}: stopped by {run.failure}")
+        return deadline
 
-    def _do_login(self):
-        self.metrics.start_mono_ms = now_mono_ms()
-        self._send(Frame(Command.LOGIN, (self.nick,)))
-        with self._state:
-            self._wait(lambda: self._ok_seen > 0, "no OK after LOGIN")
-            self._online[self.nick].set()
-            self._state.notify_all()
+    def _stalled(self, event: ScheduleEvent | None) -> str | None:
+        """What keeps ``event`` (None: the end of the schedule) from running,
+        or None.  Offsets alone do not order events across clients."""
+        if self.metrics.start_mono_ms and self.nick not in self.run.online:
+            return "no OK after LOGIN"
+        if self.offer is not None:
+            return f"file {self.offer.index} to {self.offer.peer} stalled"
+        if self.departure_epoch_ms is not None:
+            return None if self._eof else "no EOF after QUIT"
+        if event is None:
+            return None
+        if event.peer and event.peer not in self.run.online:
+            return f"{event.peer} never logged in"
+        spec = self.run.spec
+        drained = (self._msgs_received >= spec.messages_per_client
+                   and self.files_received >= spec.files_per_client)
+        return None if drained or event.action != "quit" else "incoming traffic never drained"
 
-    def _await_peer(self, peer: str):
-        # offsets alone do not order events across clients on a loaded
-        # machine; a send before the peer's login would get NO_SUCH_USER
-        with self._state:
-            self._wait(self._online[peer].is_set, f"{peer} never logged in")
+    def _act(self, event: ScheduleEvent):
+        if event.action == "login":
+            self.metrics.start_mono_ms = now_mono_ms()
+            self._send(Frame(Command.LOGIN, (self.nick,)))
+        elif event.action == "message":
+            body = self._msg_bodies.randbytes(event.size)
+            self._send(Frame(Command.MSG, (event.peer, str(len(body)))), body)
+        elif event.action == "transfer":
+            self.offer, name = event, f"f{event.index}.bin"
+            self._send(Frame(Command.FILE_OFFER, (event.peer, name, str(event.size))))
+        elif event.action == "quit":
+            self._send(Frame(Command.QUIT))
+            self.metrics.departure_mono_ms = now_mono_ms()
+            self.departure_epoch_ms = now_epoch_ms()
 
-    def _do_message(self, event: ScheduleEvent):
-        self._await_peer(event.peer)
-        body = self._msg_bodies.randbytes(event.size)
-        self._send(Frame(Command.MSG, (event.peer, str(len(body)))), body)
-
-    def _do_transfer(self, event: ScheduleEvent):
-        self._await_peer(event.peer)
-        filename = f"f{event.index}.bin"
-        body = file_body(self.spec.seed, self.nick, filename, event.size)
-        with self._state:
-            self._offered_to, self._outgoing = event.peer, None
-        self._send(Frame(Command.FILE_OFFER, (event.peer, filename, str(event.size))))
-        with self._state:
-            self._wait(
-                lambda: self._outgoing is not None,
-                f"file {event.index} to {event.peer} stalled",
-            )
-            transfer_id = self._outgoing
-        self._send_file(event.peer, transfer_id, body)
-
-    def _do_quit(self):
-        # the schedule fixes how much traffic arrives before departure, so
-        # wait for all of it: quitting early would strand the peer's sends
-        with self._state:
-            self._wait(
-                lambda: (
-                    self._msgs_received >= self.spec.messages_per_client
-                    and self._files_received >= self.spec.files_per_client
-                ),
-                "incoming traffic never drained",
-            )
-        self._send(Frame(Command.QUIT))
-        self.metrics.departure_mono_ms = now_mono_ms()
-        self.departure_epoch_ms = now_epoch_ms()
-        try:
-            self._sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-        # the server records a departure before it closes the session,
-        # so once the reader has seen EOF, session_history() holds it
-        with self._state:
-            self._wait(lambda: self._reader_done, "no EOF after QUIT")
+    # -- control connection ------------------------------------------------------
 
     def _send(self, frame: Frame, payload: bytes = b""):
         wire = encode_frame(frame, payload)
-        with self._send_lock:
-            self._sock.sendall(wire)
+        self._out += wire
         self.metrics.count_sent(len(wire))
 
-    def _record(self, exc: Exception):
-        """Keep the first error; the run's first one stops every client."""
-        with self._state:
-            self.error = self.error or exc
-            self._run.failure = self._run.failure or exc
-            self._state.notify_all()
-
-    # -- reactive side ---------------------------------------------------------
-
-    def _read_loop(self):
-        # the socket keeps CLIENT_TIMEOUT_S, which also bounds the schedule
-        # thread's sends on it; close() wakes this read by a shutdown
-        sock = self._sock
+    def _flush(self):
+        """Write what the kernel takes of the out-buffer; the rest waits for
+        the socket to turn writable.  Half-close once QUIT is out."""
         try:
-            while True:
-                try:
-                    frames = self._decoder.recv(sock)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                except ProtocolError as exc:
-                    self._record(exc)
-                    return
-                for frame, payload, consumed in frames:
-                    self.metrics.count_received(consumed)
-                    self._react(frame, payload)
-        finally:
-            with self._state:
-                self._reader_done = True
-                self._state.notify_all()
+            sent = self.sock.send(self._out)
+            if sent == len(self._out) and self.departure_epoch_ms is not None:
+                self.sock.shutdown(socket.SHUT_WR)
+        except BlockingIOError:
+            sent = 0
+        except OSError as exc:
+            raise ScenarioFailed(f"{self.nick}: control connection failed: {exc}") from exc
+        if sent:
+            del self._out[:sent]
+            self.since = now_mono_ms()
+        self.run.selector.modify(self.sock, (_READ | _WRITE) if self._out else _READ,
+                                 self._on_control)
+
+    def _on_control(self, events: int):
+        if events & _WRITE:
+            self._flush()
+        if not events & _READ:
+            return
+        try:
+            frames = self._decoder.recv(self.sock)
+        except BlockingIOError:
+            return
+        except OSError as exc:  # EOF or reset
+            if self.departure_epoch_ms is None:
+                raise ScenarioFailed(f"{self.nick}: control connection closed: {exc}") from exc
+            # the server records a departure before it closes the session,
+            # so once this EOF is in, session_history() holds it
+            self._eof = True
+            self.run.selector.unregister(self.sock)
+            self.sock.close()
+            return
+        for frame, payload, consumed in frames:
+            self.metrics.count_received(consumed)
+            self._react(frame, payload)
+        if self._out:
+            self._flush()
 
     def _react(self, frame: Frame, payload: bytes):
         command = frame.command
         if command is Command.OK:
-            with self._state:
-                self._ok_seen += 1
-                self._state.notify_all()
+            self.run.online.add(self.nick)
         elif command is Command.MSG:
-            with self._state:
-                self._msgs_received += 1
-                self._state.notify_all()
-        elif command is Command.INVITE:
-            pass  # notification only
+            self._msgs_received += 1
         elif command is Command.FILE_OFFER:
             sender, filename, size, transfer_id = frame.args
-            with self._state:
-                self._incoming[transfer_id] = (sender, filename, int(size))
-            try:
-                self._send(Frame(Command.FILE_ACCEPT, (sender, transfer_id)))
-            except OSError as exc:  # control socket already closed by run() or close()
-                self._record(
-                    ScenarioFailed(f"{self.nick}: cannot accept file from {sender}: {exc}")
-                )
+            self.incoming[transfer_id] = (sender, filename, int(size))
+            self._send(Frame(Command.FILE_ACCEPT, (sender, transfer_id)))
         elif command is Command.FILE_ACCEPT:
             self._bind_transfer(*frame.args)
         elif command is Command.ERR:
-            self._record(ScenarioFailed(f"{self.nick}: server error {frame.args[0]}"))
+            raise ScenarioFailed(f"{self.nick}: server error {frame.args[0]}")
+        # INVITE is a notification only
 
     def _bind_transfer(self, peer: str, transfer_id: str, role: str):
-        """Act on a FILE_ACCEPT announcement: as sender, hand the id to the
-        schedule thread; as recipient, read the file in a thread."""
-        with self._state:
-            if role == SENDER and peer == self._offered_to and self._outgoing is None:
-                self._outgoing = transfer_id
-                self._state.notify_all()
-                return
-            if role != RECIPIENT or transfer_id not in self._incoming:
-                self._record(ScenarioFailed(
-                    f"{self.nick}: unexpected FILE_ACCEPT of transfer {transfer_id} "
-                    f"from {peer} as {role}"
-                ))
-                return
-            _, filename, size = self._incoming[transfer_id]
-        thread = threading.Thread(
-            target=self._receive_file, args=(peer, transfer_id, filename, size),
-            daemon=True, name=f"client-{self.nick}-recipient-{transfer_id}",
+        """Act on a FILE_ACCEPT announcement: open this client's end of the
+        transfer, as the sender of its open offer or as a recipient."""
+        offer = self.offer
+        if role == SENDER and offer is not None and peer == offer.peer and self.sending is None:
+            body = file_body(self.run.spec.seed, self.nick, f"f{offer.index}.bin", offer.size)
+            # one write per chunk; the slice at len(body) is empty: the terminator
+            offsets = [*range(0, len(body), MAX_CHUNK), len(body)]
+            chunks = [encode_chunk(body[off : off + MAX_CHUNK]) for off in offsets]
+            self.sending = _DataEnd(self, peer, transfer_id, SENDER, chunks)
+        elif role == RECIPIENT and transfer_id in self.incoming:
+            _DataEnd(self, peer, transfer_id, RECIPIENT)
+        else:
+            raise ScenarioFailed(f"{self.nick}: unexpected FILE_ACCEPT of transfer "
+                                 f"{transfer_id} from {peer} as {role}")
+
+
+class _DataEnd:
+    """One end of a transfer, a data connection in the run's loop.  It
+    writes its hello, a sender's with the first chunk, then each other chunk
+    as the socket drains, each counted as a packet.  A sender then waits
+    for the server's EOF: the server has taken the end, so a QUIT cannot
+    abort the transfer any more.  A recipient runs a CRC-32 as chunks
+    arrive, then requires EOF with nothing after the terminator; the server
+    closes the end only after logging the transfer.  An error on the end
+    fails the run, naming the transfer."""
+
+    def __init__(self, client: _ScriptedClient, peer: str, transfer_id: str, role: str,
+                 chunks: list[bytes] = ()):
+        self.client, self.peer, self.id, self.role = client, peer, transfer_id, role
+        hello = encode_frame(Frame(Command.HELLO, (transfer_id, role)))
+        for wire in (hello, *chunks):
+            client.metrics.count_sent(len(wire))
+        self.chunks = deque(chunks)
+        self.wire = memoryview(hello + (self.chunks.popleft() if chunks else b""))
+        # a recipient's decoder, the CRC-32 so far, and whether the terminator is in
+        self.stream, self.crc, self.ended = FrameBuffer(chunks=True), 0, False
+        try:
+            self.sock = socket.create_connection(client.run.address, timeout=CLIENT_TIMEOUT_S)
+            client.run.selector.register(self.sock, _READ, self.on_ready)
+            self.sock.setblocking(False)
+            self._write()
+        except OSError as exc:
+            raise self._failure(exc) from exc
+
+    def _failure(self, exc: Exception) -> ScenarioFailed:
+        return ScenarioFailed(
+            f"{self.client.nick}: {self.role} data channel with {self.peer} for transfer "
+            f"{self.id} on port {self.client.run.address[1]} failed: {exc}"
         )
-        thread.start()
-        self._data_threads.append(thread)
 
-    @contextmanager
-    def _channel(self, peer: str, transfer_id: str, role: str):
-        """One end of a transfer: a data connection that close() can shut
-        down from outside, and the hello to open it with, counted as sent.
-        An error on it is recorded, naming the transfer, and not raised."""
+    def on_ready(self, events: int):
         try:
-            conn = socket.create_connection(self.address, timeout=CLIENT_TIMEOUT_S)
-            with self._state:
-                self._channels.add(conn)
-            try:
-                hello = encode_frame(Frame(Command.HELLO, (transfer_id, role)))
-                self.metrics.count_sent(len(hello))
-                yield conn, hello
-            finally:
-                with self._state:
-                    self._channels.discard(conn)
-                conn.close()
+            self._read() if events & _READ else self._write()
+        except BlockingIOError:  # woken with nothing to read
+            return
         except (OSError, ProtocolError) as exc:
-            failure = ScenarioFailed(
-                f"{self.nick}: {role} data channel with {peer} for transfer {transfer_id} "
-                f"on port {self.address[1]} failed: {exc}"
-            )
-            failure.__cause__ = exc
-            self._record(failure)
+            raise self._failure(exc) from exc
+        self.client.since = now_mono_ms()
 
-    def _send_file(self, peer: str, transfer_id: str, body: bytes):
-        with self._channel(peer, transfer_id, SENDER) as (conn, head):
-            # the hello goes in one write with the first chunk; the slice
-            # at len(body) is empty: the terminator
-            for off in [*range(0, len(body), MAX_CHUNK), len(body)]:
-                wire = encode_chunk(body[off : off + MAX_CHUNK])
-                conn.sendall(head + wire)
-                head = b""
-                self.metrics.count_sent(len(wire))
-            # the server's EOF: it has taken this end, so a QUIT from here
-            # on cannot abort the transfer
-            conn.recv(1)
-
-    def _receive_file(self, peer: str, transfer_id: str, filename: str, size: int):
-        stream = FrameBuffer(chunks=True)
-        crc = 0
-        try:
-            with self._channel(peer, transfer_id, RECIPIENT) as (conn, hello):
-                conn.sendall(hello)
-                chunks = []
-                while not chunks or chunks[-1][0]:
-                    chunks = stream.recv(conn)
-                    for data, consumed in chunks:
-                        self.metrics.count_received(consumed)
-                        crc = zlib.crc32(data, crc)
-                # the server closes the channel only after logging the
-                # transfer, so EOF here means the log already holds it
-                if stream.pending() or conn.recv(1):
-                    raise OSError("data after the terminator")
-                expected = zlib.crc32(file_body(self.spec.seed, peer, filename, size))
-                if crc != expected:
-                    self._record(ScenarioFailed(
-                        f"{self.nick}: file {filename} from {peer} differs from what "
-                        f"{peer} sent (crc32 {crc:08x}, expected {expected:08x})"
-                    ))
-        finally:
-            with self._state:
-                del self._incoming[transfer_id]
-                self._files_received += 1
-                self._state.notify_all()
-
-    def close(self):
-        with self._state:
-            socks = [self._sock, *self._channels]
-        for sock in socks:  # shutdown wakes a thread blocked in recv
+    def _write(self):
+        while True:
+            if not self.wire:
+                if not self.chunks:  # all out: what comes back is read
+                    self.client.run.selector.modify(self.sock, _READ, self.on_ready)
+                    return
+                self.wire = memoryview(self.chunks.popleft())
             try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
+                self.wire = self.wire[self.sock.send(self.wire) :]
+            except BlockingIOError:
                 pass
-        self._sock.close()
-        if self._reader is not None:
-            self._reader.join(timeout=2.0)
-        for thread in self._data_threads:
-            thread.join(timeout=2.0)
+            if self.wire:
+                self.client.run.selector.modify(self.sock, _WRITE, self.on_ready)
+                return
+
+    def _read(self):
+        client = self.client
+        if self.role == SENDER:
+            self.sock.recv(1)  # the server's EOF
+            self._close()
+            client.offer = client.sending = None
+        elif not self.ended:
+            for data, consumed in self.stream.recv(self.sock):
+                client.metrics.count_received(consumed)
+                self.crc = zlib.crc32(data, self.crc)
+                self.ended = not data
+            if self.ended and self.stream.pending():
+                raise OSError("data after the terminator")
+        elif self.sock.recv(1):
+            raise OSError("data after the terminator")
+        else:
+            self._close()
+            _, filename, size = client.incoming.pop(self.id)
+            client.files_received += 1
+            expected = zlib.crc32(file_body(client.run.spec.seed, self.peer, filename, size))
+            if self.crc != expected:
+                raise ScenarioFailed(
+                    f"{client.nick}: file {filename} from {self.peer} differs from what "
+                    f"{self.peer} sent (crc32 {self.crc:08x}, expected {expected:08x})"
+                )
+
+    def _close(self):
+        self.client.run.selector.unregister(self.sock)
+        self.sock.close()
 
 
 def run_scenario(
@@ -571,40 +559,19 @@ def run_scenario(
     every client and is raised as ``ScenarioFailed``.
     """
     schedule = generate_schedule(spec)
-    run = _Run()
-    online = {nick: threading.Event() for nick in schedule.nicks}
-    clients = [
-        _ScriptedClient(nick, server_address, spec, online, run)
-        for nick in schedule.nicks
-    ]
-    for client in clients:
-        client.connect_and_probe()
-
-    t0 = now_mono_ms()
-    threads = [
-        threading.Thread(
-            target=client.run,
-            args=(t0, schedule.for_client(client.nick)),
-            name=f"client-{client.nick}",
-        )
-        for client in clients
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=CLIENT_TIMEOUT_S + schedule.end_ms / 1000.0)
+    run = _Run(spec, server_address)
+    run.clients = [_ScriptedClient(n, run, schedule.for_client(n)) for n in schedule.nicks]
+    run.serve()
     # pad the window against the spans actually measured: under load the
     # sessions stretch past their scheduled offsets, and the analysis
     # needs summed session time to stay below the window.  The padding
     # is recorded, not slept out.
-    now = now_mono_ms()
+    clients, t0, now = run.clients, run.t0_ms, now_mono_ms()
     started = [c for c in clients if c.metrics.start_mono_ms]
     departures = [c.metrics.departure_mono_ms or now for c in started]
     active_ms = sum(d - c.metrics.start_mono_ms for c, d in zip(started, departures))
     window_ms = max(schedule.end_ms, active_ms / 0.7)
     end_ms = max(now, t0 + window_ms)
-    for client in clients:
-        client.close()
 
     if run.failure is not None:
         raise ScenarioFailed(str(run.failure)) from run.failure

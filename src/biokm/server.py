@@ -65,7 +65,6 @@ from .telemetry import SessionMetrics
 DATA_IDLE_S = 30.0
 SENDQ_MAX = 1 << 20  # bytes waiting for a session's client to read: 16 reads' worth
 HISTORY_MAX = 10_000  # departed sessions session_history() keeps
-STOP_POLL_S = 0.1  # how soon stop() is seen while the listener is unwatched
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
@@ -174,6 +173,7 @@ class MessengerServer:
     def __init__(self, config: ServerConfig):
         self.config = config
         self._listener: _Conn | None = None
+        self._waker: socket.socket | None = None  # stop() closes it, which wakes the loop
         self._selector: selectors.BaseSelector | None = None
         self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -204,18 +204,17 @@ class MessengerServer:
         self._log.flush()
         self._selector = selectors.DefaultSelector()
         self._watch(self._listener, _READ)
+        wake, self._waker = socket.socketpair()
+        self._watch(_Conn(wake, lambda conn, events: None), _READ)
         self._thread = threading.Thread(target=self._serve, daemon=True, name="biokm-server")
         self._thread.start()
         return self
 
     def stop(self):
         self._stopping.set()
-        if self._listener is not None:
-            try:  # makes the listener readable, which wakes the loop
-                self._listener.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._thread is not None:
+        if self._waker is not None:
+            self._waker.close()  # the loop's end of the pair turns readable
+            self._waker = None
             self._thread.join()
         self._log.write("server_stop")
         self._log.close()
@@ -256,10 +255,7 @@ class MessengerServer:
         selector = self._selector
         try:
             while not self._stopping.is_set():
-                timeout = self._expire()
-                if not self._listener.events:  # stop() wakes the loop through it
-                    timeout = min(timeout or STOP_POLL_S, STOP_POLL_S)
-                for key, events in selector.select(timeout):
+                for key, events in selector.select(self._expire()):
                     conn = key.data
                     if conn.events:  # not closed or set aside earlier in this pass
                         conn.on_ready(conn, events)
@@ -321,7 +317,7 @@ class MessengerServer:
     def _accept(self, listener: _Conn, events: int):
         try:
             sock, _ = listener.sock.accept()
-        except OSError as exc:  # stop() shut it down, or the peer gave up first
+        except OSError as exc:  # the peer gave up first, or no descriptor is free
             if exc.errno in (errno.EMFILE, errno.ENFILE):  # out of descriptors:
                 self._watch(listener, 0)  # not to spin on it; _close watches it again
             return

@@ -46,9 +46,9 @@ class CaptureFormatError(ValueError):
 class SessionMetrics:
     """Per-connection counters kept at the socket boundary.
 
-    Updates take a lock.  The server counts from its one thread, but a
-    load-generator client's reader, schedule and data threads share one
-    instance, and ``snapshot()`` may be read from any thread.
+    Updates take a lock.  The server and the load generator each count
+    from one thread, but ``MessengerServer.snapshot()`` reads the server's
+    counters from another.
     """
 
     packets_sent: int = 0

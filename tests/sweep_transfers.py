@@ -8,8 +8,9 @@ seed in the ranges: 448 scenarios with the defaults.  On return from each
 ``run_scenario`` it checks, without waiting, that the server's event log
 holds every ``transfer_complete``, ``message`` and ``quit`` and no
 ``transfer_aborted`` or ``malformed`` (a data end whose chunks were read
-as control lines), and that its history holds every departure; then
-that ``stop()`` returns within a second and leaves no ``biokm-`` thread.
+as control lines), that its history holds every departure, and that
+``threading.active_count()`` is what it was before the call; then that
+``stop()`` returns within a second and leaves no ``biokm-`` thread.
 Prints one line per failure and a summary; exits 1 if any scenario
 failed.
 pytest does not collect this file.
@@ -40,7 +41,9 @@ def check_one(spec: ScenarioSpec) -> str | None:
         log = Path(tmp) / "events.jsonl"
         server = start_server(ServerConfig(log_path=log))
         try:
+            threads = threading.active_count()
             run_scenario(spec, server.address, Path(tmp) / "cap.jsonl")
+            threads_after = threading.active_count()
             history = server.session_history()
             kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
         finally:
@@ -60,6 +63,8 @@ def check_one(spec: ScenarioSpec) -> str | None:
     departed = sorted(r.nick for r in history if r.departure_mono_ms is not None)
     if departed != sorted(generate_schedule(spec).nicks):
         return f"departures {departed} in the history"
+    if threads_after != threads:
+        return f"{threads} threads before run_scenario, {threads_after} after"
     if stop_s >= 1.0:
         return f"stop() took {stop_s:.2f} s"
     left = [t.name for t in threading.enumerate() if t.name.startswith("biokm-")]

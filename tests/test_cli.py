@@ -1,3 +1,5 @@
+import json
+import signal
 import subprocess
 import sys
 
@@ -216,3 +218,24 @@ def test_serve_and_load_subprocess_round_trip(tmp_path):
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_serve_stops_on_a_signal_with_sigint_ignored(tmp_path, signum):
+    # a shell starts a background job with SIGINT ignored, and then Python
+    # raises no KeyboardInterrupt: the server must still stop and log it
+    log = tmp_path / "events.jsonl"
+    proc = subprocess.Popen(
+        ["sh", "-c", 'trap "" INT; exec "$0" -m biokm.cli serve --port 0 --log "$1"',
+         sys.executable, str(log)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("listening on ")
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert json.loads(log.read_text().splitlines()[-1])["kind"] == "server_stop"

@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import gc
 import json
 import re
@@ -206,16 +208,19 @@ def test_capture_has_rtt_and_utilization_in_range(server, tmp_path):
 
 
 def test_sends_wait_for_late_peer_login(server, tmp_path, monkeypatch):
-    # scheduled offsets alone do not order two clients' threads: a peer
+    # scheduled offsets alone do not order two clients' events: a peer
     # whose login runs late must not turn the first send into NO_SUCH_USER
-    login = _ScriptedClient._do_login
+    schedule = loadgen.generate_schedule
 
-    def late_login(self):
-        if self.nick == "c2":
-            time.sleep(0.2)
-        login(self)
+    def late_login(spec):
+        plan = schedule(spec)
+        return dataclasses.replace(plan, events=tuple(
+            dataclasses.replace(e, at_ms=e.at_ms + 200.0)
+            if (e.client, e.action) == ("c2", "login") else e
+            for e in plan.events
+        ))
 
-    monkeypatch.setattr(_ScriptedClient, "_do_login", late_login)
+    monkeypatch.setattr(loadgen, "generate_schedule", late_login)
     spec = ScenarioSpec(
         mode=Mode.MIXED, clients=2, messages_per_client=2, files_per_client=1,
         file_size=100, seed=4, **FAST,
@@ -226,32 +231,59 @@ def test_sends_wait_for_late_peer_login(server, tmp_path, monkeypatch):
     assert [rec["packets_received"] for rec in sessions] == [8, 8]
 
 
+def test_run_scenario_starts_no_thread(server, tmp_path, monkeypatch):
+    # one selectors loop in the calling thread serves every client
+    def refuse(thread):
+        raise AssertionError(f"run_scenario started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    spec = ScenarioSpec(
+        mode=Mode.MIXED, clients=3, messages_per_client=3, files_per_client=2,
+        file_size=70000, seed=8, **FAST,
+    )
+    run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+
+
 # --- failure reporting -------------------------------------------------------
 
 FTP_ONE = ScenarioSpec(mode=Mode.FTP, clients=2, files_per_client=1, file_size=10)
 
 
-def scripted_c1(address):
-    online = {"c1": threading.Event(), "c2": threading.Event()}
-    online["c2"].set()
-    return _ScriptedClient("c1", address, FTP_ONE, online)
+def scripted_c1(address, spec, events):
+    """A run of one scripted client, c1, whose peer c2 is online already."""
+    run = loadgen._Run(spec, address)
+    run.online.add("c2")
+    run.clients.append(_ScriptedClient("c1", run, events))
+    return run
 
 
-def test_failed_transfer_names_client_peer_and_role(tmp_path, monkeypatch):
+def await_file_never_sent(server):
+    """c1 logs in and waits for one file before it quits; c2, a raw client,
+    offers it and never opens its end.  Returns the failure of c1's run."""
+    run = scripted_c1(server.address, FTP_ONE, [
+        ScheduleEvent(0.0, "c1", "login"), ScheduleEvent(0.0, "c1", "quit"),
+    ])
+    peer = RawClient(server.address)
+
+    def offer():
+        assert wait_until(lambda: server.snapshot().logins == 1)
+        peer.login("c2")
+        peer.send(Frame(Command.FILE_OFFER, ("c1", "f0.bin", "10")))
+
+    offering = threading.Thread(target=offer)
+    offering.start()
+    run.serve()
+    offering.join()
+    peer.close()
+    return run.failure
+
+
+def test_failed_transfer_names_client_peer_and_role(monkeypatch):
     # the offering peer never opens its end of the data channel, so the
     # server gives up and the scripted recipient's channel closes early
     monkeypatch.setattr(server_module, "DATA_IDLE_S", 0.5)
     with start_server(ServerConfig()) as server:
-        client = scripted_c1(server.address)
-        client.connect_and_probe()
-        client.run(now_mono_ms(), [ScheduleEvent(0.0, "c1", "login")])
-        peer = RawClient(server.address)
-        peer.login("c2")
-        peer.send(Frame(Command.FILE_OFFER, ("c1", "f0.bin", "10")))
-        assert wait_until(lambda: client.error is not None)
-        client.close()
-        peer.close()
-    error = client.error
+        error = await_file_never_sent(server)
     assert isinstance(error, ScenarioFailed)
     assert str(error).startswith("c1: recipient data channel with c2 for transfer 1 on port ")
     assert isinstance(error.__cause__, OSError)
@@ -265,17 +297,9 @@ def test_abandoned_data_channel_closes_recipient_socket(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with start_server(ServerConfig()) as server:
-            client = scripted_c1(server.address)
-            client.connect_and_probe()
-            client.run(now_mono_ms(), [ScheduleEvent(0.0, "c1", "login")])
-            peer = RawClient(server.address)
-            peer.login("c2")
-            peer.send(Frame(Command.FILE_OFFER, ("c1", "f0.bin", "10")))
-            assert wait_until(lambda: client.error is not None)
-            client.close()
-            peer.close()
+            error = await_file_never_sent(server)
         gc.collect()
-    port = int(re.search(r"for transfer 1 on port (\d+)", str(client.error)).group(1))
+    port = int(re.search(r"for transfer 1 on port (\d+)", str(error)).group(1))
     server_side = f"laddr=('127.0.0.1', {port})"
     assert [
         str(w.message) for w in caught
@@ -305,8 +329,8 @@ def slow_reader(listener, messages: int, got: list):
 
 
 def test_sends_outlast_a_peer_that_reads_late():
-    # the reader thread's recv and the schedule thread's sendall share the
-    # control socket, so a short poll timeout there would cut sends short
+    # while the control socket takes no more, the schedule waits for it to
+    # turn writable: no send may time out or cut a frame short
     n = 200  # 13 MB of MSGs: more than loopback buffers while nobody reads
     spec = ScenarioSpec(mode=Mode.IRCD, clients=2, messages_per_client=n,
                         message_size=MAX_PAYLOAD)
@@ -317,26 +341,30 @@ def test_sends_outlast_a_peer_that_reads_late():
     with socket.create_server(("127.0.0.1", 0)) as listener:
         peer = threading.Thread(target=slow_reader, args=(listener, n, got))
         peer.start()
-        online = {"c1": threading.Event(), "c2": threading.Event()}
-        online["c2"].set()
-        client = _ScriptedClient("c1", listener.getsockname(), spec, online)
-        client.connect_and_probe()
-        client.run(now_mono_ms(), events)
+        run = scripted_c1(listener.getsockname(), spec, events)
+        run.serve()
         peer.join(timeout=20.0)
-        client.close()
     assert not peer.is_alive()
-    assert client.error is None
+    assert run.failure is None
     assert [len(p) for p in got] == [MAX_PAYLOAD] * n
 
 
-def test_accept_on_closed_control_socket_is_recorded():
-    client = scripted_c1(("127.0.0.1", 0))
-    client._sock = socket.socket()
-    client._sock.close()
-    # must not raise in the reader thread
-    client._react(Frame(Command.FILE_OFFER, ("c2", "f0.bin", "10", "1")), b"")
-    assert isinstance(client.error, ScenarioFailed)
-    assert "c1: cannot accept file from c2" in str(client.error)
+def test_failed_control_write_fails_the_run_and_names_the_client(server, tmp_path,
+                                                                 monkeypatch):
+    # c1's first MSG meets a broken pipe; the server's own writes go through
+    def broken(write):
+        def send(sock, data, *args):
+            if sock.getsockname()[1] != server.port and bytes(data[:4]) == b"MSG ":
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            return write(sock, data, *args)
+
+        return send
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name, broken(getattr(socket.socket, name)))
+    spec = ScenarioSpec(mode=Mode.IRCD, clients=2, messages_per_client=2, **FAST)
+    with pytest.raises(ScenarioFailed, match=r"^c1: control connection failed: .*Broken pipe$"):
+        run_scenario(spec, server.address, tmp_path / "cap.jsonl")
 
 
 # --- completion: the call returns once the traffic has been served ----------
@@ -345,7 +373,7 @@ def test_accept_on_closed_control_socket_is_recorded():
 def test_gap_zero_run_does_not_sleep(server, tmp_path, monkeypatch):
     # the padded window is arithmetic on the record, never waited out
     slept = []
-    monkeypatch.setattr(loadgen.time, "sleep", slept.append)
+    monkeypatch.setattr(time, "sleep", slept.append)
     spec = ScenarioSpec(
         mode=Mode.IRCD, clients=2, messages_per_client=20, inter_event_gap_ms=0,
     )
@@ -354,8 +382,9 @@ def test_gap_zero_run_does_not_sleep(server, tmp_path, monkeypatch):
 
 
 def test_bookkeeping_complete_when_run_returns(server, tmp_path):
-    # seven clients share one condition; switching threads every few
-    # microseconds shakes out a departure or transfer the waits miss
+    # seven clients in one loop; switching between it and the server's
+    # thread every few microseconds shakes out a departure or transfer the
+    # waits miss
     spec = ScenarioSpec(
         mode=Mode.MIXED, clients=7, messages_per_client=4, files_per_client=3,
         file_size=20000, inter_event_gap_ms=0, seed=6,

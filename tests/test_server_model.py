@@ -127,15 +127,15 @@ class Client:
 
 class WriteSpy:
     """Wraps ``send`` and ``sendall``; after each server write to a control
-    socket it takes a snapshot: what a peer reading those bytes at once
-    could see."""
+    connection the model opened (``track``), not to a data end, it takes a
+    snapshot: what a peer reading those bytes at once could see."""
 
     def __init__(self, server):
         self.port = server.port
         self.snapshot = server.snapshot
         self.cond = threading.Condition()
-        self.written: dict = {}  # peer -> bytes the server wrote to it
-        self.seen: dict = {}  # peer -> snapshot after the last of them
+        self.written: dict = {}  # tracked peer -> bytes the server wrote to it
+        self.seen: dict = {}  # tracked peer -> snapshot after the last of them
         self.saved = {name: socket.socket.__dict__.get(name) for name in ("send", "sendall")}
         for name in self.saved:
             setattr(socket.socket, name, self._wrap(getattr(socket.socket, name)))
@@ -147,7 +147,7 @@ class WriteSpy:
                 peer = sock.getpeername() if sock.getsockname()[1] == self.port else None
             except OSError:
                 peer = None
-            if peer is not None:
+            if peer in self.written:
                 snap = self.snapshot()
                 with self.cond:
                     self.written[peer] = self.written.get(peer, 0) + (
@@ -158,6 +158,13 @@ class WriteSpy:
             return result
 
         return write
+
+    def track(self, client: "Client"):
+        """Count writes to ``client``'s connection from now on, from zero:
+        a data end that used its port before counts for nothing."""
+        with self.cond:
+            self.written[client.peer] = 0
+            self.seen.pop(client.peer, None)
 
     def uninstall(self):
         for name, original in self.saved.items():
@@ -245,6 +252,7 @@ class ServerMachine(RuleBasedStateMachine):
         client = self.clients[slot]
         if client is None:
             client = self.clients[slot] = Client(self.server.address)
+            self.spy.track(client)
         frame = wire(Command.LOGIN, nick)
         client.sock.sendall(frame)
         session = client.session
