@@ -275,6 +275,7 @@ class _ScriptedClient:
         # accepted transfer id -> (sender, file name, size), until its data is in
         self.incoming: dict[str, tuple[str, str, int]] = {}
         self.offer: ScheduleEvent | None = None  # open until its sender end sees EOF
+        self.body = b""  # that offer's file
         self.sending: _DataEnd | None = None  # that offer's end, once announced
 
     def connect_and_probe(self):
@@ -297,17 +298,16 @@ class _ScriptedClient:
     # -- schedule --------------------------------------------------------------
 
     def advance(self, now: float) -> float | None:
-        """Run each due event whose wait holds until SEND_BATCH bytes are
-        queued, and write them; a write cut short holds later events back.
+        """Queue each due event whose wait holds, until SEND_BATCH bytes are
+        queued, and write what is queued, replies to this pass's reads first.
         Return when to look again, or None once done; raise if a wait has
         stalled for CLIENT_TIMEOUT_S."""
-        if not self._out:
-            wake = self._run_due(now)
-            if self._out:
-                self._flush()
-            if not self._out:
-                return wake
-        return self._deadline(self.since, "control connection stalled", now)
+        wake = self._run_due(now)
+        if self._out:
+            self._flush()
+        if self._out and (wake is None or wake <= now):  # the rest waits for writable
+            wake = self._deadline(self.since, "control connection stalled", now)
+        return wake
 
     def _run_due(self, now: float) -> float | None:
         while True:
@@ -359,6 +359,7 @@ class _ScriptedClient:
             self._send(Frame(Command.MSG, (event.peer, str(len(body)))), body)
         elif event.action == "transfer":
             self.offer, name = event, f"f{event.index}.bin"
+            self.body = file_body(self.run.spec.seed, self.nick, name, event.size)
             self._send(Frame(Command.FILE_OFFER, (event.peer, name, str(event.size))))
         elif event.action == "quit":
             self._send(Frame(Command.QUIT))
@@ -410,8 +411,6 @@ class _ScriptedClient:
         for frame, payload, consumed in frames:
             self.metrics.count_received(consumed)
             self._react(frame, payload)
-        if self._out:
-            self._flush()
 
     def _react(self, frame: Frame, payload: bytes):
         command = frame.command
@@ -432,9 +431,8 @@ class _ScriptedClient:
     def _bind_transfer(self, peer: str, transfer_id: str, role: str):
         """Act on a FILE_ACCEPT announcement: open this client's end of the
         transfer, as the sender of its open offer or as a recipient."""
-        offer = self.offer
+        offer, body = self.offer, self.body
         if role == SENDER and offer is not None and peer == offer.peer and self.sending is None:
-            body = file_body(self.run.spec.seed, self.nick, f"f{offer.index}.bin", offer.size)
             # one write per chunk; the slice at len(body) is empty: the terminator
             offsets = [*range(0, len(body), MAX_CHUNK), len(body)]
             chunks = [encode_chunk(body[off : off + MAX_CHUNK]) for off in offsets]
