@@ -435,7 +435,7 @@ class _ScriptedClient:
         if role == SENDER and offer is not None and peer == offer.peer and self.sending is None:
             # one write per chunk; the slice at len(body) is empty: the terminator
             offsets = [*range(0, len(body), MAX_CHUNK), len(body)]
-            chunks = [encode_chunk(body[off : off + MAX_CHUNK]) for off in offsets]
+            chunks = tuple(encode_chunk(body[off : off + MAX_CHUNK]) for off in offsets)
             self.sending = _DataEnd(self, peer, transfer_id, SENDER, chunks)
         elif role == RECIPIENT and transfer_id in self.incoming:
             _DataEnd(self, peer, transfer_id, RECIPIENT)
@@ -455,7 +455,7 @@ class _DataEnd:
     fails the run, naming the transfer."""
 
     def __init__(self, client: _ScriptedClient, peer: str, transfer_id: str, role: str,
-                 chunks: list[bytes] = ()):
+                 chunks: tuple[bytes, ...] = ()):
         self.client, self.peer, self.id, self.role = client, peer, transfer_id, role
         hello = encode_frame(Frame(Command.HELLO, (transfer_id, role)))
         for wire in (hello, *chunks):
@@ -473,14 +473,16 @@ class _DataEnd:
             raise self._failure(exc) from exc
 
     def _failure(self, exc: Exception) -> ScenarioFailed:
-        return ScenarioFailed(
-            f"{self.client.nick}: {self.role} data channel with {self.peer} for transfer "
-            f"{self.id} on port {self.client.run.address[1]} failed: {exc}"
-        )
+        return ScenarioFailed(f"{self.client.nick}: {self.role} data channel with {self.peer} "
+                              f"for transfer {self.id} on port {self.client.run.address[1]} "
+                              f"failed: {exc}")
 
     def on_ready(self, events: int):
         try:
-            self._read() if events & _READ else self._write()
+            if events & _READ:
+                self._read()
+            else:
+                self._write()
         except BlockingIOError:  # woken with nothing to read
             return
         except (OSError, ProtocolError) as exc:
