@@ -39,7 +39,6 @@ import selectors
 import socket
 import statistics
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -220,7 +219,8 @@ class _Run:
     nicks whose login is answered, and the first failure, which stops it."""
 
     def __init__(self, spec: ScenarioSpec, address: tuple[str, int]):
-        self.spec, self.address = spec, address
+        self.spec = spec
+        self.address = address
         self.selector = selectors.DefaultSelector()
         self.clients: list[_ScriptedClient] = []
         self.online: set[str] = set()
@@ -271,12 +271,12 @@ class _ScriptedClient:
         self._cursor = 0  # the next event
         self.since = 0.0  # when it last ran an event or moved bytes
         self._eof = False
-        self._msgs_received = self.files_received = 0
+        self._msgs_received = 0
+        self.files_received = 0
         # accepted transfer id -> (sender, file name, size), until its data is in
         self.incoming: dict[str, tuple[str, str, int]] = {}
         self.offer: ScheduleEvent | None = None  # open until its sender end sees EOF
-        self.body = b""  # that offer's file
-        self.sending: _DataEnd | None = None  # that offer's end, once announced
+        self.body: bytes | None = None  # that offer's file, until its end opens
 
     def connect_and_probe(self):
         self.sock = socket.create_connection(self.run.address, timeout=CLIENT_TIMEOUT_S)
@@ -358,7 +358,8 @@ class _ScriptedClient:
             body = self._msg_bodies.randbytes(event.size)
             self._send(Frame(Command.MSG, (event.peer, str(len(body)))), body)
         elif event.action == "transfer":
-            self.offer, name = event, f"f{event.index}.bin"
+            self.offer = event
+            name = f"f{event.index}.bin"
             self.body = file_body(self.run.spec.seed, self.nick, name, event.size)
             self._send(Frame(Command.FILE_OFFER, (event.peer, name, str(event.size))))
         elif event.action == "quit":
@@ -423,25 +424,19 @@ class _ScriptedClient:
             self.incoming[transfer_id] = (sender, filename, int(size))
             self._send(Frame(Command.FILE_ACCEPT, (sender, transfer_id)))
         elif command is Command.FILE_ACCEPT:
-            self._bind_transfer(*frame.args)
+            # open this client's end: the sender's of its open offer, or a recipient's
+            peer, transfer_id, role = frame.args
+            if role == SENDER and self.body is not None and peer == self.offer.peer:
+                _DataEnd(self, peer, transfer_id, SENDER, self.body)
+                self.body = None
+            elif role == RECIPIENT and transfer_id in self.incoming:
+                _DataEnd(self, peer, transfer_id, RECIPIENT)
+            else:
+                raise ScenarioFailed(f"{self.nick}: unexpected FILE_ACCEPT of transfer "
+                                     f"{transfer_id} from {peer} as {role}")
         elif command is Command.ERR:
             raise ScenarioFailed(f"{self.nick}: server error {frame.args[0]}")
         # INVITE is a notification only
-
-    def _bind_transfer(self, peer: str, transfer_id: str, role: str):
-        """Act on a FILE_ACCEPT announcement: open this client's end of the
-        transfer, as the sender of its open offer or as a recipient."""
-        offer, body = self.offer, self.body
-        if role == SENDER and offer is not None and peer == offer.peer and self.sending is None:
-            # one write per chunk; the slice at len(body) is empty: the terminator
-            offsets = [*range(0, len(body), MAX_CHUNK), len(body)]
-            chunks = tuple(encode_chunk(body[off : off + MAX_CHUNK]) for off in offsets)
-            self.sending = _DataEnd(self, peer, transfer_id, SENDER, chunks)
-        elif role == RECIPIENT and transfer_id in self.incoming:
-            _DataEnd(self, peer, transfer_id, RECIPIENT)
-        else:
-            raise ScenarioFailed(f"{self.nick}: unexpected FILE_ACCEPT of transfer "
-                                 f"{transfer_id} from {peer} as {role}")
 
 
 class _DataEnd:
@@ -455,15 +450,22 @@ class _DataEnd:
     fails the run, naming the transfer."""
 
     def __init__(self, client: _ScriptedClient, peer: str, transfer_id: str, role: str,
-                 chunks: tuple[bytes, ...] = ()):
-        self.client, self.peer, self.id, self.role = client, peer, transfer_id, role
+                 body: bytes = b""):
+        self.client = client
+        self.peer = peer
+        self.id = transfer_id
+        self.role = role
+        # a sender's file and where its next chunk starts; None once the
+        # terminator, the empty chunk past the end, is encoded
+        self.body = body
+        self.offset = 0 if role == SENDER else None
         hello = encode_frame(Frame(Command.HELLO, (transfer_id, role)))
-        for wire in (hello, *chunks):
-            client.metrics.count_sent(len(wire))
-        self.chunks = deque(chunks)
-        self.wire = memoryview(hello + (self.chunks.popleft() if chunks else b""))
+        client.metrics.count_sent(len(hello))
+        self.wire = memoryview(hello + self._next_chunk())
         # a recipient's decoder, the CRC-32 so far, and whether the terminator is in
-        self.stream, self.crc, self.ended = FrameBuffer(chunks=True), 0, False
+        self.stream = FrameBuffer(chunks=True)
+        self.crc = 0
+        self.ended = False
         try:
             self.sock = socket.create_connection(client.run.address, timeout=CLIENT_TIMEOUT_S)
             client.run.selector.register(self.sock, _READ, self.on_ready)
@@ -489,27 +491,33 @@ class _DataEnd:
             raise self._failure(exc) from exc
         self.client.since = now_mono_ms()
 
+    def _next_chunk(self) -> bytes:
+        """Encode and count the next chunk; b"" once the terminator is out."""
+        if self.offset is None:
+            return b""
+        data = self.body[self.offset : self.offset + MAX_CHUNK]
+        self.offset = self.offset + MAX_CHUNK if data else None
+        wire = encode_chunk(data)
+        self.client.metrics.count_sent(len(wire))
+        return wire
+
     def _write(self):
-        while True:
-            if not self.wire:
-                if not self.chunks:  # all out: what comes back is read
-                    self.client.run.selector.modify(self.sock, _READ, self.on_ready)
-                    return
-                self.wire = memoryview(self.chunks.popleft())
+        """Write while the kernel takes it; then wait for the socket to
+        drain, or, once every chunk is out, for what comes back."""
+        while self.wire:
             try:
-                self.wire = self.wire[self.sock.send(self.wire) :]
+                sent = self.sock.send(self.wire)
             except BlockingIOError:
-                pass
-            if self.wire:
-                self.client.run.selector.modify(self.sock, _WRITE, self.on_ready)
-                return
+                break
+            self.wire = self.wire[sent:] or memoryview(self._next_chunk())
+        self.client.run.selector.modify(self.sock, _WRITE if self.wire else _READ, self.on_ready)
 
     def _read(self):
         client = self.client
         if self.role == SENDER:
             self.sock.recv(1)  # the server's EOF
             self._close()
-            client.offer = client.sending = None
+            client.offer = None
         elif not self.ended:
             for data, consumed in self.stream.recv(self.sock):
                 client.metrics.count_received(consumed)
@@ -564,14 +572,14 @@ def run_scenario(
     run.serve()
     # pad the window against the spans actually measured: under load the
     # sessions stretch past their scheduled offsets, and the analysis
-    # needs summed session time to stay below the window.  The padding
-    # is recorded, not slept out.
-    clients, t0, now = run.clients, run.t0_ms, now_mono_ms()
+    # needs summed session time to stay below the window
+    clients = run.clients
+    now = now_mono_ms()
     started = [c for c in clients if c.metrics.start_mono_ms]
     departures = [c.metrics.departure_mono_ms or now for c in started]
     active_ms = sum(d - c.metrics.start_mono_ms for c, d in zip(started, departures))
     window_ms = max(schedule.end_ms, active_ms / 0.7)
-    end_ms = max(now, t0 + window_ms)
+    end_ms = max(now, run.t0_ms + window_ms)
 
     if run.failure is not None:
         raise ScenarioFailed(str(run.failure)) from run.failure
@@ -588,7 +596,7 @@ def run_scenario(
     records.append(
         run_record(
             label or spec.mode.value,
-            server_start_mono_ms=t0,
+            server_start_mono_ms=run.t0_ms,
             end_mono_ms=end_ms,
             active_end_mono_ms=max(departures),
             packets_received=sum(c.metrics.packets_sent for c in clients),
