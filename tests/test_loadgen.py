@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import re
+import selectors
 import socket
 import sys
 import threading
@@ -371,9 +372,20 @@ def test_failed_control_write_fails_the_run_and_names_the_client(server, tmp_pat
 
 
 def test_gap_zero_run_does_not_sleep(server, tmp_path, monkeypatch):
-    # the padded window is arithmetic on the record, never waited out
+    # the padded window is arithmetic on the record, never waited out: with
+    # every event due at once the loop waits for its sockets only, so no
+    # wait of it but a zero-timeout poll may end with no socket ready
     slept = []
     monkeypatch.setattr(time, "sleep", slept.append)
+
+    class Selector(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            ready = super().select(timeout)
+            if not ready and timeout != 0:
+                slept.append(timeout)
+            return ready
+
+    monkeypatch.setattr(selectors, "DefaultSelector", Selector)
     spec = ScenarioSpec(
         mode=Mode.IRCD, clients=2, messages_per_client=20, inter_event_gap_ms=0,
     )
