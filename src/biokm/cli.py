@@ -30,12 +30,14 @@ def _cmd_serve(args) -> int:
     from . import server
 
     config = server.ServerConfig(host=args.host, control_port=args.port, log_path=args.log)
-    handle = server.start_server(config)
-    # both end the wait below; a shell starts a background job with SIGINT
-    # ignored, and then Python raises no KeyboardInterrupt of its own
+    # both end the wait below, set before the server starts: a shell starts
+    # a background job with SIGINT ignored, and then Python raises no
+    # KeyboardInterrupt of its own
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, signal.default_int_handler)
+    handle = None
     try:
+        handle = server.start_server(config)
         print(f"listening on {handle.config.host}:{handle.port}", flush=True)
         if args.runtime is not None:
             time.sleep(args.runtime)
@@ -45,7 +47,8 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        handle.stop()
+        if handle is not None:
+            handle.stop()
     return 0
 
 
