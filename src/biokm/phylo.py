@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -48,24 +49,24 @@ class DistanceMatrix:
 
     def __init__(self, labels: Iterable[str], values) -> None:
         self.labels = tuple(labels)
-        self.values = np.asarray(values, dtype=float).copy()
+        self.values = values = np.array(values, dtype=float, order="C")
         n = len(self.labels)
         if n < 2:
             raise MatrixInvariantViolation("need at least two labels")
         if len(set(self.labels)) != n:
             raise MatrixInvariantViolation("labels must be unique")
-        if self.values.shape != (n, n):
+        if values.shape != (n, n):
             raise MatrixInvariantViolation(
-                f"matrix shape {self.values.shape} does not match {n} labels"
+                f"matrix shape {values.shape} does not match {n} labels"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(values).all():
             # an infinite distance turns join criteria into NaN, which no pair minimizes
             raise MatrixInvariantViolation("distances must be finite")
-        if np.any(np.diagonal(self.values) != 0):
+        if values.diagonal().any():
             raise MatrixInvariantViolation("diagonal must be zero")
-        if not np.array_equal(self.values, self.values.T):
+        if (values != values.T).any():
             raise MatrixInvariantViolation("matrix must be symmetric")
-        if np.any(self.values < 0):
+        if values.min() < 0:
             raise MatrixInvariantViolation("distances must be nonnegative")
 
     def __len__(self) -> int:
@@ -189,65 +190,76 @@ def _clamped_pair(b_i: float, b_j: float) -> tuple[float, float]:
 def nj_build(dm: DistanceMatrix) -> PhyloTree:
     """Neighbor-Joining over a distance matrix.
 
-    Each round evaluates the join criterion for every pair at once, as
-    one array over the active nodes, and joins a pair attaining its
-    minimum.  Exact ties go to the pair whose nodes were created first
-    (input label order, then join order; the pair's smaller creation
-    rank decides, then its larger), making the output deterministic for
-    any input.
+    Each round makes a few whole-array passes over the active nodes: the
+    net divergences, the join criterion for every pair at once, its
+    minimum and a scan for the pairs attaining it.  Exact ties go to the
+    pair whose nodes were created first (input label order, then join
+    order; the pair's smaller creation rank decides, then its larger),
+    making the output deterministic for any input.  A node's creation
+    rank is its id in the tree.
 
-    After a join the second node's row and column are deleted with the
+    After a join the second node's row and column are dropped with the
     others kept in order, and the net divergences are summed afresh, so
     every float is bit-identical to evaluating the pairs one at a time.
     That matters: on a star matrix every pair ties in exact arithmetic
     and the last bit picks the join, so swapping the last row into the
     gap or updating the sums incrementally would change the tree.
+
+    The working matrix must stay C-ordered for the same reason: there
+    ``d.sum(axis=0)`` adds whole rows one after another, in the order the
+    pair-by-pair recursion does.  On a Fortran-ordered copy, such as
+    ``d[keep][:, keep]`` makes, numpy sums each column pairwise once eight
+    rows remain, and the trees of stars with eight or more clients change
+    in their last bits.  ``take`` along one axis and then the other keeps
+    C order.
     """
     tree = PhyloTree()
-    ids = [tree.add_node(label) for label in dm.labels]
-    n = len(ids)
+    nodes = [tree.add_node(label) for label in dm.labels]
+    n = len(nodes)
     if n == 2:
-        tree.add_edge(ids[0], ids[1], float(dm.values[0, 1]))
+        tree.add_edge(nodes[0], nodes[1], float(dm.values[0, 1]))
         return tree
 
-    d = dm.values.astype(float).copy()
-    nodes = list(ids)
-    order = np.arange(n)  # creation rank, for deterministic tie-breaks
-    next_rank = n
-
+    d = dm.values.astype(float, order="C")
     while len(nodes) > 3:
         m = len(nodes)
         u = d.sum(axis=0)
-        q = d - (u[:, None] + u) / (m - 2)
-        np.fill_diagonal(q, np.inf)
-        rows, cols = np.nonzero(q == q.min())
-        upper = rows < cols  # q is symmetric: take each pair once, as i < j
-        rows, cols = rows[upper], cols[upper]
-        rank_i, rank_j = order[rows], order[cols]
-        pick = np.lexsort((np.maximum(rank_i, rank_j), np.minimum(rank_i, rank_j)))[0]
-        i, j = int(rows[pick]), int(cols[pick])
-        b_i = 0.5 * d[i, j] + (u[i] - u[j]) / (2 * (m - 2))
-        b_i, b_j = _clamped_pair(b_i, d[i, j] - b_i)
+        q = np.add.outer(u, u)
+        q /= m - 2
+        np.subtract(d, q, out=q)
+        flat = q.ravel()
+        flat[:: m + 1] = np.inf
+        ties = (flat == flat[flat.argmin()]).nonzero()[0]
+        if len(ties) == 2:  # one pair, met as (i, j) and then (j, i)
+            i, j = divmod(ties.item(0), m)
+        else:  # q is symmetric: take each pair once, as i < j
+            pairs = [divmod(k, m) for k in ties.tolist()]
+            _, i, j = min((sorted((nodes[a], nodes[b])), a, b) for a, b in pairs if a < b)
+        d_ij = d.item(i, j)
+        b_i = 0.5 * d_ij + (u.item(i) - u.item(j)) / (2 * (m - 2))
+        b_i, b_j = _clamped_pair(b_i, d_ij - b_i)
         joined = tree.add_node()
         tree.add_edge(nodes[i], joined, b_i)
         tree.add_edge(nodes[j], joined, b_j)
 
-        fresh = 0.5 * (d[i, :] + d[j, :] - d[i, j])
-        d[i, :] = fresh
+        fresh = d[i] + d[j]
+        fresh -= d_ij
+        fresh *= 0.5
+        fresh[i] = 0.0
+        d[i] = fresh
         d[:, i] = fresh
-        d[i, i] = 0.0
+        keep = np.arange(m - 1)
+        keep[j:] += 1
+        d = d.take(keep, 0).take(keep, 1)
         nodes[i] = joined
-        order[i] = next_rank
-        next_rank += 1
-        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
         del nodes[j]
-        order = np.delete(order, j)
 
     # last three meet at one center (three-point branch lengths)
     center = tree.add_node()
-    b0 = 0.5 * (d[0, 1] + d[0, 2] - d[1, 2])
-    b1 = 0.5 * (d[0, 1] + d[1, 2] - d[0, 2])
-    b2 = 0.5 * (d[0, 2] + d[1, 2] - d[0, 1])
+    d01, d02, d12 = d.item(0, 1), d.item(0, 2), d.item(1, 2)
+    b0 = 0.5 * (d01 + d02 - d12)
+    b1 = 0.5 * (d01 + d12 - d02)
+    b2 = 0.5 * (d02 + d12 - d01)
     for node, length in zip(nodes, (b0, b1, b2)):
         tree.add_edge(node, center, max(length, 0.0))
     return tree
@@ -257,11 +269,9 @@ def _format_length(x: float) -> str:
     return format(x, "g")
 
 
-def _group(parts: list[tuple[tuple[str, str], float]]) -> str:
-    # parts are ((smallest leaf label, text), branch length), sorted
-    return "(" + ",".join(
-        f"{text}:{_format_length(length)}" for (_, text), length in parts
-    ) + ")"
+# siblings sort by (smallest leaf label, text), then length; equal keys keep
+# adjacency order, so the part, which tells 0 from -0, never decides
+_sibling_order = itemgetter(0, 1)
 
 
 def to_newick(tree: PhyloTree) -> str:
@@ -275,7 +285,8 @@ def to_newick(tree: PhyloTree) -> str:
 
     The subtree hanging off a directed edge (node, parent) reads the same
     from every anchor beyond it, so each one is rendered once, children
-    first, and shared by every anchor's string; no recursion is needed.
+    first, together with its ``text:length`` part, and shared by every
+    anchor's string; no recursion is needed.
     """
     leaves = tree.leaf_ids
     if len(leaves) < 2:
@@ -286,15 +297,14 @@ def to_newick(tree: PhyloTree) -> str:
         return f"({tree.labels[a]}:{_format_length(length)},{tree.labels[b]}:0);"
 
     adj = tree._adj
-    # (node, parent) -> (smallest leaf label, text) of node's side of the edge
-    memo: dict[tuple[int, int], tuple[str, str]] = {}
+    # (node, parent) -> ((smallest leaf label, text), length, "text:length")
+    # of node's side of the edge
+    memo: dict[tuple[int, int], tuple[tuple[str, str], float, str]] = {}
 
-    def children(node: int, parent: int) -> list[tuple[tuple[str, str], float]]:
-        return sorted(
-            (memo[peer, node], length)
-            for peer, length in adj[node].items()
-            if peer != parent
-        )
+    def group(node: int, parent: int | None) -> tuple[str, str]:
+        parts = [memo[peer, node] for peer in adj[node] if peer != parent]
+        parts.sort(key=_sibling_order)
+        return parts[0][0][0], "(" + ",".join([part for _, _, part in parts]) + ")"
 
     anchors = tree.internal_ids
     stack = [(peer, root) for root in anchors for peer in adj[root]]
@@ -303,18 +313,20 @@ def to_newick(tree: PhyloTree) -> str:
         if edge in memo:
             stack.pop()
             continue
-        todo = [(peer, node) for peer in adj[node] if peer != parent and (peer, node) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        parts = children(node, parent)
-        if parts:
-            memo[edge] = (parts[0][0][0], _group(parts))
+        if len(adj[node]) == 1:  # a leaf
+            stack.pop()
+            smallest = text = tree.labels[node]
         else:
-            label = tree.labels[node]
-            memo[edge] = (label, label)
-    return min(_group(children(root, None)) + ";" for root in anchors)
+            todo = [(peer, node) for peer in adj[node]
+                    if peer != parent and (peer, node) not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            smallest, text = group(node, parent)
+        length = adj[node][parent]
+        memo[edge] = ((smallest, text), length, f"{text}:{_format_length(length)}")
+    return min(group(root, None)[1] + ";" for root in anchors)
 
 
 def from_newick(text: str) -> PhyloTree:
@@ -404,12 +416,8 @@ def star_distances(rtt: Mapping[str, float], server_label: str = "server") -> Di
     for nick, value in rtt.items():
         if value < 0:
             raise NegativeRtt(f"round-trip time for {nick!r} is negative: {value}")
-    labels = [server_label, *rtt.keys()]
-    spokes = [0.0, *rtt.values()]
-    n = len(labels)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                values[i, j] = spokes[i] + spokes[j]
+    labels = [server_label, *rtt]
+    spokes = np.array([0.0, *rtt.values()])
+    values = np.add.outer(spokes, spokes)
+    values.flat[:: len(labels) + 1] = 0.0
     return DistanceMatrix(labels, values)

@@ -554,6 +554,18 @@ def test_nj_matches_loop_reference_on_star_matrices(rtts):
     assert_matches_reference(star_distances({f"c{i + 1}": x for i, x in enumerate(rtts)}))
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_nj_matches_loop_reference_at_64_nodes(noise):
+    # the strategies above stop at 14 nodes; this is a seeded additive
+    # tree, and the same matrix with uniform noise on every pair
+    rng = random.Random(64)
+    adj, _ = adjacency_tree(64, rng)
+    labels = [f"t{i:02d}" for i in range(64)]
+    values = additive_matrix(adj, assign_lengths(adj, rng), labels).values
+    jitter = np.triu(np.random.default_rng(64).uniform(0.0, noise, values.shape), 1)
+    assert_matches_reference(DistanceMatrix(labels, values + jitter + jitter.T))
+
+
 def test_nj_and_newick_on_deep_caterpillar():
     truth = caterpillar(600, random.Random(600))
     tree = nj_build(truth.leaf_distances())
