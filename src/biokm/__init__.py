@@ -60,7 +60,6 @@ _EXPORTS = {
     "average_runs": "telemetry",
     "capacity_bps": "telemetry",
     "rates": "telemetry",
-    "synthesize_capture": "telemetry",
     "throughput_bps": "telemetry",
 }
 

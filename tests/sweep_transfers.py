@@ -1,10 +1,11 @@
 """Seed sweep of file-transfer scenarios, each against a fresh in-process server.
 
     PYTHONPATH=src python tests/sweep_transfers.py [--seeds 1-8] [--clients 2-8] [--files 1-4]
+        [--size 3000]
 
 Runs ``ftp`` and ``mixed`` (2 messages of 64 B each way) scenarios with
-files of 3000 B and a 2 ms gap, over every client count, file count and
-seed in the ranges: 448 scenarios with the defaults.  On return from each
+files of ``--size`` bytes and a 2 ms gap, over every client count, file
+count and seed in the ranges: 448 scenarios with the defaults.  On return from each
 ``run_scenario`` it checks, without waiting, that the server's event log
 holds every ``transfer_complete``, ``message`` and ``quit`` and no
 ``transfer_aborted`` or ``malformed`` (a data end whose chunks were read
@@ -78,6 +79,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_range, default=_range("1-8"))
     parser.add_argument("--clients", type=_range, default=_range("2-8"))
     parser.add_argument("--files", type=_range, default=_range("1-4"))
+    parser.add_argument("--size", type=int, default=3000, help="file size in bytes")
     args = parser.parse_args(argv)
     failed = total = 0
     slowest = (0.0, "")
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
             for files in args.files:
                 for seed in args.seeds:
                     spec = ScenarioSpec(
-                        mode=mode, clients=clients, files_per_client=files, file_size=3000,
+                        mode=mode, clients=clients, files_per_client=files, file_size=args.size,
                         messages_per_client=2 if mode is Mode.MIXED else 0, message_size=64,
                         inter_event_gap_ms=2.0, seed=seed,
                     )

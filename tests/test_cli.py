@@ -8,7 +8,8 @@ import pytest
 from biokm.cli import main
 from biokm.phylo import DistanceMatrix, from_newick
 from biokm.route_filter import build_filter
-from biokm.telemetry import run_record, synthesize_capture, write_capture
+from biokm.telemetry import run_record, write_capture
+from synthetic import synthesize_capture
 
 
 def make_reference_captures(tmp_path):

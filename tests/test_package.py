@@ -70,7 +70,7 @@ def test_topology_names_load_numpy_on_first_use():
 
 
 def test_every_export_is_its_home_modules_object():
-    assert biokm.__all__ == sorted(biokm.__all__) and len(biokm.__all__) == 42
+    assert biokm.__all__ == sorted(biokm.__all__) and len(biokm.__all__) == 41
     for name in biokm.__all__:
         value = getattr(biokm, name)
         home = sys.modules[value.__module__]

@@ -15,8 +15,8 @@ from biokm.telemetry import (
     RunMetrics,
     aggregate_response,
     analyze_capture,
-    synthesize_capture,
 )
+from synthetic import synthesize_capture
 
 REFERENCE_COUNTERS = {
     "ircd": dict(packets=6452, payload=5868, elapsed=111687, service=73328),

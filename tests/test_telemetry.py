@@ -16,11 +16,11 @@ from biokm.telemetry import (
     read_capture,
     run_record,
     session_record,
-    synthesize_capture,
     throughput_bps,
     write_capture,
     write_metrics_csv,
 )
+from synthetic import synthesize_capture
 
 # received-side counters of the three reference runs
 REFERENCE = {
