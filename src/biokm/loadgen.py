@@ -68,28 +68,15 @@ def file_body(seed: int, sender: str, filename: str, size: int) -> bytes:
     """The bytes ``sender`` sends as ``filename``: one seeded block of
     BODY_PERIOD bytes (of ``size`` bytes if that is less), tiled to
     ``size``.  A swapped, dropped or repeated chunk changes them, since
-    MAX_CHUNK is no multiple of the period."""
+    MAX_CHUNK is no multiple of the period.  The body is built in one
+    allocation of ``size`` bytes."""
     block = _period(seed, sender, filename, size)
-    return (block * (size // BODY_PERIOD + 1))[:size]
+    whole, rest = divmod(size, BODY_PERIOD)
+    return b"".join([block] * whole + [block[:rest]])
 
 
 def _period(seed: int, sender: str, filename: str, size: int) -> bytes:
     return random.Random(f"{seed}:{sender}:{filename}").randbytes(min(size, BODY_PERIOD))
-
-
-def body_tile(seed: int, sender: str, filename: str, size: int) -> bytes:
-    """What a sender keeps of a file: at most its first three periods.
-    They hold every chunk, since a chunk starts inside the first period
-    and MAX_CHUNK is under two periods.  A file of up to 3 * BODY_PERIOD
-    bytes is kept whole."""
-    return file_body(seed, sender, filename, min(size, 3 * BODY_PERIOD))
-
-
-def body_chunk(tile: bytes, size: int, offset: int) -> bytes:
-    """The chunk of a ``size``-byte file that starts at ``offset``, sliced
-    from the file's ``body_tile``."""
-    start = offset % BODY_PERIOD
-    return tile[start : start + min(MAX_CHUNK, size - offset)]
 
 
 def body_crc32(seed: int, sender: str, filename: str, size: int) -> int:
@@ -305,7 +292,7 @@ class _ScriptedClient:
         # accepted transfer id -> (sender, file name, size), until its data is in
         self.incoming: dict[str, tuple[str, str, int]] = {}
         self.offer: ScheduleEvent | None = None  # open until its sender end sees EOF
-        self.body: bytes | None = None  # that offer's body_tile, until its end opens
+        self.body: bytes | None = None  # that offer's file, until its end opens
 
     def connect_and_probe(self):
         self.sock = socket.create_connection(self.run.address, timeout=CLIENT_TIMEOUT_S)
@@ -389,7 +376,7 @@ class _ScriptedClient:
         elif event.action == "transfer":
             self.offer = event
             name = f"f{event.index}.bin"
-            self.body = body_tile(self.run.spec.seed, self.nick, name, event.size)
+            self.body = file_body(self.run.spec.seed, self.nick, name, event.size)
             self._send(Frame(Command.FILE_OFFER, (event.peer, name, str(event.size))))
         elif event.action == "quit":
             self._send(Frame(Command.QUIT))
@@ -456,7 +443,7 @@ class _ScriptedClient:
             # open this client's end: the sender's of its open offer, or a recipient's
             peer, transfer_id, role = frame.args
             if role == SENDER and self.body is not None and peer == self.offer.peer:
-                _DataEnd(self, peer, transfer_id, SENDER, self.body, self.offer.size)
+                _DataEnd(self, peer, transfer_id, SENDER, self.body)
                 self.body = None
             elif role == RECIPIENT and transfer_id in self.incoming:
                 _DataEnd(self, peer, transfer_id, RECIPIENT)
@@ -479,15 +466,14 @@ class _DataEnd:
     fails the run, naming the transfer."""
 
     def __init__(self, client: _ScriptedClient, peer: str, transfer_id: str, role: str,
-                 tile: bytes = b"", size: int = 0):
+                 body: bytes = b""):
         self.client = client
         self.peer = peer
         self.id = transfer_id
         self.role = role
-        # a sender's file, as its body_tile and size, and where its next chunk
-        # starts; None once the terminator, the empty chunk past the end, is encoded
-        self.tile = tile
-        self.size = size
+        # a sender's file and where its next chunk starts; None once the
+        # terminator, the empty chunk past the end, is encoded
+        self.body = body
         self.offset = 0 if role == SENDER else None
         hello = encode_frame(Frame(Command.HELLO, (transfer_id, role)))
         client.metrics.count_sent(len(hello))
@@ -525,11 +511,8 @@ class _DataEnd:
         """Encode and count the next chunk; b"" once the terminator is out."""
         if self.offset is None:
             return b""
-        if self.offset < self.size:
-            data = body_chunk(self.tile, self.size, self.offset)
-            self.offset += MAX_CHUNK
-        else:
-            data, self.offset = b"", None
+        data = self.body[self.offset : self.offset + MAX_CHUNK]
+        self.offset = self.offset + MAX_CHUNK if data else None
         wire = encode_chunk(data)
         self.client.metrics.count_sent(len(wire))
         return wire

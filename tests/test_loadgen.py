@@ -25,7 +25,7 @@ from biokm.loadgen import (
     generate_schedule,
     run_scenario,
 )
-from biokm.protocol import MAX_CHUNK, MAX_PAYLOAD, Command, Frame, FrameBuffer, encode_chunk, encode_frame
+from biokm.protocol import MAX_PAYLOAD, Command, Frame, FrameBuffer, encode_chunk, encode_frame
 from biokm.server import ServerConfig, now_mono_ms, start_server
 from biokm.telemetry import analyze_capture, read_capture
 from test_server import RawClient, wait_until
@@ -545,17 +545,13 @@ P = loadgen.BODY_PERIOD
 
 
 @pytest.mark.parametrize("size", [0, 1, P - 1, P, P + 1, 65536, 65537, 2 * P + 1, 3 * 65536])
-def test_sender_chunks_and_expected_crc_match_the_file_body(size):
+def test_expected_crc_matches_the_period_tiled_body(size):
     body = loadgen.file_body(7, "c1", "f0.bin", size)
-    tile = loadgen.body_tile(7, "c1", "f0.bin", size)
-    chunks = [loadgen.body_chunk(tile, size, offset) for offset in range(0, size, MAX_CHUNK)]
-    assert all(len(chunk) == MAX_CHUNK for chunk in chunks[:-1])
-    assert b"".join(chunks) == body
-    assert len(tile) <= 3 * P
+    assert body == (body[:P] * (size // P + 1))[:size]
     assert loadgen.body_crc32(7, "c1", "f0.bin", size) == zlib.crc32(body)
 
 
-def test_large_self_transfer_never_holds_the_file(tmp_path):
+def test_large_self_transfer_builds_the_file_once(tmp_path):
     size = 16 << 20
     spec = ScenarioSpec(mode=Mode.FTP, clients=1, files_per_client=1, file_size=size,
                         inter_event_gap_ms=0)
@@ -569,7 +565,8 @@ def test_large_self_transfer_never_holds_the_file(tmp_path):
     log = (tmp_path / "events.jsonl").read_text()
     assert [json.loads(line)["bytes"] for line in log.splitlines()
             if json.loads(line)["kind"] == "transfer_complete"] == [size]
-    assert peak < 4 << 20  # the sender keeps three periods, the recipient none
+    # the sender's copy, built in one allocation; the recipient builds none
+    assert peak < size + (4 << 20)
 
 
 def test_refused_frame_fails_the_run_at_once(server, tmp_path):
