@@ -649,6 +649,16 @@ def test_newick_accepts_zero_and_exponent_lengths():
     assert to_newick(tree) == "(A:0,B:0.001,C:25);"
 
 
+@pytest.mark.parametrize("text, want", [
+    ("(A:10,A:9,B:1);", "(A:9,A:10,B:1);"),  # a tie on label and text goes by length
+    ("(A:0,A:-0,B:1);", "(A:0,A:-0,B:1);"),  # equal lengths keep their order
+    ("((A:2,B:1):1,(A:1,B:1):1,C:1);", "(((A:1,B:1):1,C:1):1,A:2,B:1);"),
+])
+def test_newick_orders_siblings_with_the_same_smallest_label(text, want):
+    tree = from_newick(text)
+    assert to_newick(tree) == brute_force_to_newick(tree) == want
+
+
 # --- star distances ----------------------------------------------------------
 
 
