@@ -18,10 +18,11 @@ channel to EOF, and a client waits for the server's EOF after QUIT (see
 sends nothing to a peer before that peer's login is answered, whatever
 the offsets say.  An odd trailing client talks to itself, which the
 protocol permits.  The first error any client records, a server ERR
-included, stops the whole run.  File bodies are fixed by the seed
-(``file_body``), and each recipient checks a CRC-32 of what arrived
-against the one it computes from the seed (``body_crc32``), so a relay
-that reorders or corrupts chunks fails the run.
+included, stops the whole run.  File bodies are fixed by the seed but
+never built: the sender cuts each chunk from their first three periods
+(``body_tile``), and the recipient compares each chunk and the total
+with them, so a relay that reorders or corrupts chunks fails the run at
+the first byte that differs.
 
 A client accepts every offer as it arrives and binds each transfer by
 the id the server gives it: the relayed offer carries the id, and each
@@ -38,7 +39,6 @@ import random
 import selectors
 import socket
 import statistics
-import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -64,29 +64,22 @@ SEND_BATCH = 16384  # bytes a client queues on its control connection per write
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
-def file_body(seed: int, sender: str, filename: str, size: int) -> bytes:
-    """The bytes ``sender`` sends as ``filename``: one seeded block of
-    BODY_PERIOD bytes (of ``size`` bytes if that is less), tiled to
-    ``size``.  A swapped, dropped or repeated chunk changes them, since
-    MAX_CHUNK is no multiple of the period.  The body is built in one
-    allocation of ``size`` bytes."""
-    block = _period(seed, sender, filename, size)
-    whole, rest = divmod(size, BODY_PERIOD)
-    return b"".join([block] * whole + [block[:rest]])
+def body_tile(seed: int, sender: str, filename: str, size: int) -> bytes:
+    """The first ``min(size, 3 * BODY_PERIOD)`` bytes that ``sender`` sends
+    as ``filename``.  The file is one seeded block of BODY_PERIOD bytes (of
+    ``size`` bytes if that is less) tiled to ``size``; a swapped, dropped
+    or repeated chunk changes it, since MAX_CHUNK is no multiple of the
+    period."""
+    block = random.Random(f"{seed}:{sender}:{filename}").randbytes(min(size, BODY_PERIOD))
+    return (block * 3)[:size]
 
 
-def _period(seed: int, sender: str, filename: str, size: int) -> bytes:
-    return random.Random(f"{seed}:{sender}:{filename}").randbytes(min(size, BODY_PERIOD))
-
-
-def body_crc32(seed: int, sender: str, filename: str, size: int) -> int:
-    """``zlib.crc32(file_body(...))``, run one period at a time rather
-    than over a built file."""
-    block = _period(seed, sender, filename, size)
-    crc = 0
-    for _ in range(size // BODY_PERIOD):
-        crc = zlib.crc32(block, crc)
-    return zlib.crc32(memoryview(block)[: size % BODY_PERIOD], crc)
+def body_chunk(tile: bytes, offset: int, length: int) -> bytes:
+    """A file's ``length`` bytes from ``offset`` on, cut from its tile,
+    whole as long as ``length`` is at most MAX_CHUNK (under two periods)
+    and the rest of the file."""
+    start = offset % BODY_PERIOD
+    return tile[start : start + length]
 
 
 class InvalidSpec(ValueError):
@@ -292,7 +285,7 @@ class _ScriptedClient:
         # accepted transfer id -> (sender, file name, size), until its data is in
         self.incoming: dict[str, tuple[str, str, int]] = {}
         self.offer: ScheduleEvent | None = None  # open until its sender end sees EOF
-        self.body: bytes | None = None  # that offer's file, until its end opens
+        self.tile: bytes | None = None  # that offer's file's tile, until its end opens
 
     def connect_and_probe(self):
         self.sock = socket.create_connection(self.run.address, timeout=CLIENT_TIMEOUT_S)
@@ -376,7 +369,7 @@ class _ScriptedClient:
         elif event.action == "transfer":
             self.offer = event
             name = f"f{event.index}.bin"
-            self.body = file_body(self.run.spec.seed, self.nick, name, event.size)
+            self.tile = body_tile(self.run.spec.seed, self.nick, name, event.size)
             self._send(Frame(Command.FILE_OFFER, (event.peer, name, str(event.size))))
         elif event.action == "quit":
             self._send(Frame(Command.QUIT))
@@ -442,11 +435,13 @@ class _ScriptedClient:
         elif command is Command.FILE_ACCEPT:
             # open this client's end: the sender's of its open offer, or a recipient's
             peer, transfer_id, role = frame.args
-            if role == SENDER and self.body is not None and peer == self.offer.peer:
-                _DataEnd(self, peer, transfer_id, SENDER, self.body)
-                self.body = None
+            if role == SENDER and self.tile is not None and peer == self.offer.peer:
+                _DataEnd(self, peer, transfer_id, SENDER, self.tile, self.offer.size)
+                self.tile = None
             elif role == RECIPIENT and transfer_id in self.incoming:
-                _DataEnd(self, peer, transfer_id, RECIPIENT)
+                sender, filename, size = self.incoming[transfer_id]
+                tile = body_tile(self.run.spec.seed, sender, filename, size)
+                _DataEnd(self, peer, transfer_id, RECIPIENT, tile, size)
             else:
                 raise ScenarioFailed(f"{self.nick}: unexpected FILE_ACCEPT of transfer "
                                      f"{transfer_id} from {peer} as {role}")
@@ -460,27 +455,28 @@ class _DataEnd:
     writes its hello, a sender's with the first chunk, then each other chunk
     as the socket drains, each counted as a packet.  A sender then waits
     for the server's EOF: the server has taken the end, so a QUIT cannot
-    abort the transfer any more.  A recipient runs a CRC-32 as chunks
-    arrive, then requires EOF with nothing after the terminator; the server
-    closes the end only after logging the transfer.  An error on the end
-    fails the run, naming the transfer."""
+    abort the transfer any more.  A recipient checks each chunk and the
+    total against the file, then requires EOF with nothing after the
+    terminator; the server closes the end only after logging the transfer.
+    An error on the end fails the run, naming the transfer."""
 
     def __init__(self, client: _ScriptedClient, peer: str, transfer_id: str, role: str,
-                 body: bytes = b""):
+                 tile: bytes, size: int):
         self.client = client
         self.peer = peer
         self.id = transfer_id
         self.role = role
-        # a sender's file and where its next chunk starts; None once the
-        # terminator, the empty chunk past the end, is encoded
-        self.body = body
+        # the file's tile and size, and where a sender's next chunk starts;
+        # None once the terminator, the empty chunk past the end, is encoded
+        self.tile = tile
+        self.size = size
         self.offset = 0 if role == SENDER else None
         hello = encode_frame(Frame(Command.HELLO, (transfer_id, role)))
         client.metrics.count_sent(len(hello))
         self.wire = memoryview(hello + self._next_chunk())
-        # a recipient's decoder, the CRC-32 so far, and whether the terminator is in
+        # a recipient's decoder, the bytes it has checked, and whether the terminator is in
         self.stream = FrameBuffer(chunks=True)
-        self.crc = 0
+        self.received = 0
         self.ended = False
         try:
             self.sock = socket.create_connection(client.run.address, timeout=CLIENT_TIMEOUT_S)
@@ -511,8 +507,8 @@ class _DataEnd:
         """Encode and count the next chunk; b"" once the terminator is out."""
         if self.offset is None:
             return b""
-        data = self.body[self.offset : self.offset + MAX_CHUNK]
-        self.offset = self.offset + MAX_CHUNK if data else None
+        data = body_chunk(self.tile, self.offset, min(MAX_CHUNK, self.size - self.offset))
+        self.offset = self.offset + len(data) if data else None
         wire = encode_chunk(data)
         self.client.metrics.count_sent(len(wire))
         return wire
@@ -537,7 +533,7 @@ class _DataEnd:
         elif not self.ended:
             for data, consumed in self.stream.recv(self.sock):
                 client.metrics.count_received(consumed)
-                self.crc = zlib.crc32(data, self.crc)
+                self._check(data)
                 self.ended = not data
             if self.ended and self.stream.pending():
                 raise OSError("data after the terminator")
@@ -545,14 +541,21 @@ class _DataEnd:
             raise OSError("data after the terminator")
         else:
             self._close()
-            _, filename, size = client.incoming.pop(self.id)
+            del client.incoming[self.id]
             client.files_received += 1
-            expected = body_crc32(client.run.spec.seed, self.peer, filename, size)
-            if self.crc != expected:
-                raise ScenarioFailed(
-                    f"{client.nick}: file {filename} from {self.peer} differs from what "
-                    f"{self.peer} sent (crc32 {self.crc:08x}, expected {expected:08x})"
-                )
+
+    def _check(self, data: bytes):
+        """Compare a chunk with the file at the running offset, and the
+        terminator with the file's end; raise at the first byte that differs."""
+        expected = body_chunk(self.tile, self.received, min(len(data), self.size - self.received))
+        if data != expected or not (data or self.received == self.size):
+            same = next((i for i, (a, b) in enumerate(zip(data, expected)) if a != b),
+                        len(expected))
+            _, filename, _ = self.client.incoming[self.id]
+            raise ScenarioFailed(f"{self.client.nick}: file {filename} from {self.peer} differs "
+                                 f"from what {self.peer} sent, from byte {self.received + same} "
+                                 f"on ({self.size} bytes offered)")
+        self.received += len(data)
 
     def _close(self):
         self.client.run.selector.unregister(self.sock)

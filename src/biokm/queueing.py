@@ -149,6 +149,8 @@ def simulate_mm1(
     Draws come from ``numpy.random.default_rng(seed)``: deterministic per
     seed.  At most 2**16 arrivals are held at once, so memory is bounded.
     The sojourn mean covers packets that departed within the horizon.
+    Every array lives in one workspace allocated per call, so the call
+    maps and faults the same memory whatever the process freed before.
     """
     _check_rates(arrival_rate, service_rate)
     if not (math.isfinite(horizon_s) and horizon_s > 0):
@@ -158,11 +160,19 @@ def simulate_mm1(
     rng = np.random.default_rng(seed)
     expected = arrival_rate * horizon_s  # a block covers it and six standard deviations
     block = int(min(2**16, expected + 6.0 * math.sqrt(expected) + 64))
-    carry, a, k = (0, 0, 0.0, 0.0, 0.0, 0.0), np.zeros(1), block
+    work = np.empty((4, block))  # arrivals, services, the kernel's two scratch rows
+    a, s = work[0], work[1]
+    carry, start, k = (0, 0, 0.0, 0.0, 0.0, 0.0), 0.0, block
     while arrival_rate > 0 and k == block:  # until a block passes the horizon
-        a = a[-1] + np.cumsum(rng.exponential(1.0 / arrival_rate, block))
+        rng.standard_exponential(out=a)
+        a *= 1.0 / arrival_rate  # as rng.exponential scales its draws
+        np.cumsum(a, out=a)
+        a += start
+        start = a[-1]
         k = int(np.searchsorted(a, horizon_s, side="right"))
-        carry = _lindley_block(a[:k], rng.exponential(1.0 / service_rate, k), horizon_s, carry)
+        rng.standard_exponential(out=s[:k])
+        s[:k] *= 1.0 / service_rate
+        carry = _lindley_block(a[:k], s[:k], horizon_s, carry, work[2:, :k])
     arrivals, departures, area, busy, sojourn_total, _ = carry
     return SimulationResult(
         n_in_system=area / horizon_s,
@@ -174,28 +184,34 @@ def simulate_mm1(
     )
 
 
-def _lindley_block(arrivals, services, horizon_s: float, carry: tuple) -> tuple:
+def _lindley_block(arrivals, services, horizon_s: float, carry: tuple, scratch=None) -> tuple:
     """Add FIFO customers (sorted arrivals within the horizon, a service
     time each) to ``carry`` = (arrivals, departures, area, busy, sojourn,
     D_0), where D_0 is the latest departure: with C = cumsum(S), Lindley's
     D_i = max(A_i, D_{i-1}) + S_i is C_i + max(D_0, max_{k<=i} A_k - C_{k-1}).
+    ``scratch`` holds two rows of len(arrivals) that every step writes into
+    (allocated if None).
     """
     import numpy as np
 
     arrived, departures, area, busy, sojourn_total, last = carry
-    c = np.cumsum(services)
-    d = np.maximum.accumulate(arrivals - (c - services))
+    n = len(arrivals)
+    c, d = np.empty((2, n)) if scratch is None else scratch
+    np.cumsum(services, out=c)
+    np.subtract(c, services, out=d)
+    np.subtract(arrivals, d, out=d)
+    np.maximum.accumulate(d, out=d)
     np.maximum(d, last, out=d)
     d += c
     j = int(np.searchsorted(d, horizon_s, side="right"))  # d is sorted
-    sojourn = float((d[:j] - arrivals[:j]).sum())
-    area += sojourn + float((horizon_s - arrivals[j:]).sum())
     # services are disjoint: j end within the horizon, the next may be under way
     busy += float(c[j - 1]) if j else 0.0
-    if j < len(d):
+    if j < n:
         busy += max(horizon_s - float(d[j] - services[j]), 0.0)
-    last = float(d[-1]) if len(d) else last
-    return arrived + len(d), departures + j, area, busy, sojourn_total + sojourn, last
+    last = float(d[-1]) if n else last
+    sojourn = float(np.subtract(d[:j], arrivals[:j], out=c[:j]).sum())
+    area += sojourn + float(np.subtract(horizon_s, arrivals[j:], out=c[j:]).sum())
+    return arrived + n, departures + j, area, busy, sojourn_total + sojourn, last
 
 
 def write_steady_csv(path, rows: list[SteadyStateRow], idle: float) -> Path:

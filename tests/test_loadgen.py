@@ -10,7 +10,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-import zlib
 
 import pytest
 
@@ -25,7 +24,15 @@ from biokm.loadgen import (
     generate_schedule,
     run_scenario,
 )
-from biokm.protocol import MAX_PAYLOAD, Command, Frame, FrameBuffer, encode_chunk, encode_frame
+from biokm.protocol import (
+    MAX_CHUNK,
+    MAX_PAYLOAD,
+    Command,
+    Frame,
+    FrameBuffer,
+    encode_chunk,
+    encode_frame,
+)
 from biokm.server import ServerConfig, now_mono_ms, start_server
 from biokm.telemetry import analyze_capture, read_capture
 from test_server import RawClient, wait_until
@@ -519,7 +526,27 @@ def flip_one_byte(chunks):
     return [*chunks[:-1], bytes(last)]
 
 
-@pytest.mark.parametrize("tamper", [swap_first_two, flip_one_byte])
+def drop_last_chunk(chunks):
+    return chunks[:-1]
+
+
+def repeat_first_chunk(chunks):
+    return [chunks[0], *chunks]
+
+
+def run_past_the_end(chunks):
+    body = b"".join(chunks)  # what follows continues its period
+    period = loadgen.BODY_PERIOD
+    return [*chunks, body[-period : 100 - period]]
+
+
+# where each tamper of a file of three chunks first shows
+FIRST_BAD_BYTE = {swap_first_two: 0, flip_one_byte: 3 * 65536 - 1,
+                  drop_last_chunk: 2 * 65536, repeat_first_chunk: 65536,
+                  run_past_the_end: 3 * 65536}
+
+
+@pytest.mark.parametrize("tamper", list(FIRST_BAD_BYTE))
 def test_relayed_bytes_are_checked(tmp_path, monkeypatch, tamper):
     monkeypatch.setattr(server_module.MessengerServer, "_forward", tampering_relay(tamper))
     spec = ScenarioSpec(  # c1 sends itself one file of three chunks
@@ -527,16 +554,18 @@ def test_relayed_bytes_are_checked(tmp_path, monkeypatch, tamper):
         inter_event_gap_ms=0,
     )
     with start_server(ServerConfig()) as server:
-        with pytest.raises(ScenarioFailed, match=r"^c1: file f0\.bin from c1 differs"):
+        with pytest.raises(ScenarioFailed, match=r"^c1: file f0\.bin from c1 differs") as failed:
             run_scenario(spec, server.address, tmp_path / "cap.jsonl")
+    assert f"from byte {FIRST_BAD_BYTE[tamper]} on" in str(failed.value)
 
 
 def test_file_bodies_are_seeded_and_period_tiled():
-    body = loadgen.file_body(7, "c1", "f0.bin", 3 * 65536)
-    assert body == loadgen.file_body(7, "c1", "f0.bin", 3 * 65536)
-    assert body != loadgen.file_body(7, "c2", "f0.bin", 3 * 65536)
-    assert body != loadgen.file_body(7, "c1", "f1.bin", 3 * 65536)
+    body = loadgen.body_tile(7, "c1", "f0.bin", 3 * 65536)
+    assert body == loadgen.body_tile(7, "c1", "f0.bin", 3 * 65536)
+    assert body != loadgen.body_tile(7, "c2", "f0.bin", 3 * 65536)
+    assert body != loadgen.body_tile(7, "c1", "f1.bin", 3 * 65536)
     period = loadgen.BODY_PERIOD
+    assert len(body) == 3 * period
     assert body[period:] == body[:-period]
     assert body[:65536] != body[65536:131072]  # chunks differ, so a swap shows
 
@@ -544,14 +573,33 @@ def test_file_bodies_are_seeded_and_period_tiled():
 P = loadgen.BODY_PERIOD
 
 
-@pytest.mark.parametrize("size", [0, 1, P - 1, P, P + 1, 65536, 65537, 2 * P + 1, 3 * 65536])
-def test_expected_crc_matches_the_period_tiled_body(size):
-    body = loadgen.file_body(7, "c1", "f0.bin", size)
-    assert body == (body[:P] * (size // P + 1))[:size]
-    assert loadgen.body_crc32(7, "c1", "f0.bin", size) == zlib.crc32(body)
+@pytest.mark.parametrize("size", [
+    0, 1, P - 1, P, P + 1, 65536, 65537, 2 * P + 1, 3 * P, 3 * P + 1, 3 * 65536, 3 * 65536 + 5,
+])
+def test_chunks_cut_from_the_tile_make_the_period_tiled_body(size):
+    tile = loadgen.body_tile(7, "c1", "f0.bin", size)
+    assert len(tile) == min(size, 3 * P)
+    body = (tile[:P] * (size // P + 1))[:size]
+    chunks = []
+    for offset in range(0, size, MAX_CHUNK):  # as a sender cuts them
+        chunk = loadgen.body_chunk(tile, offset, min(MAX_CHUNK, size - offset))
+        assert chunk == body[offset : offset + MAX_CHUNK], offset
+        chunks.append(chunk)
+    assert b"".join(chunks) == body
 
 
-def test_large_self_transfer_builds_the_file_once(tmp_path):
+def test_the_furthest_cut_fits_in_the_tile():
+    # chunk k starts at 15k mod P in the tile: at P - 1 first for k = 4368,
+    # past two periods' room, in a file of 286 MB
+    offset = 4368 * MAX_CHUNK
+    assert offset % P == P - 1
+    tile = loadgen.body_tile(7, "c1", "f0.bin", offset + MAX_CHUNK)
+    period = tile[:P]
+    chunk = loadgen.body_chunk(tile, offset, MAX_CHUNK)
+    assert chunk == bytes(period[(offset + i) % P] for i in range(MAX_CHUNK))
+
+
+def test_large_self_transfer_builds_no_file(tmp_path):
     size = 16 << 20
     spec = ScenarioSpec(mode=Mode.FTP, clients=1, files_per_client=1, file_size=size,
                         inter_event_gap_ms=0)
@@ -565,8 +613,8 @@ def test_large_self_transfer_builds_the_file_once(tmp_path):
     log = (tmp_path / "events.jsonl").read_text()
     assert [json.loads(line)["bytes"] for line in log.splitlines()
             if json.loads(line)["kind"] == "transfer_complete"] == [size]
-    # the sender's copy, built in one allocation; the recipient builds none
-    assert peak < size + (4 << 20)
+    # two tiles of three periods and a few chunks in flight, no file
+    assert peak < 4 << 20
 
 
 def test_refused_frame_fails_the_run_at_once(server, tmp_path):

@@ -1,7 +1,12 @@
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +226,75 @@ def test_simulator_memory_does_not_grow_with_horizon():
     assert peaks[2.2e5] >= 0.8 * peaks[2.2e6]
 
 
+FAULTS_PER_CALL = """
+import resource, sys
+from biokm.queueing import simulate_mm1
+simulate_mm1(0.9, 1.0, 10.0, 0)  # numpy's lazy imports stay out of the count
+if sys.argv[1] == "freed":
+    block = bytes(4 << 20)
+    del block
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(20):
+    simulate_mm1(0.9, 1.0, 5e4, seed)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_simulator_page_faults_do_not_depend_on_what_the_process_freed():
+    # glibc maps blocks above its mmap threshold afresh on every call, and
+    # freeing a large mapped block raises that threshold; the arrays of
+    # one call used to be mapped (and faulted) anew unless a 4 MiB block
+    # had been freed first
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for history in ("fresh", "freed"):
+        done = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL, history], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert float(done.stdout) < 100, history
+
+
+def simulate_mm1_reference(arrival_rate, service_rate, horizon_s, seed):
+    """The simulator as it was before its one workspace, with the block
+    kernel inlined: fresh arrays for every step.  Returns the fields of
+    ``SimulationResult`` in order."""
+    rng = np.random.default_rng(seed)
+    expected = arrival_rate * horizon_s
+    block = int(min(2**16, expected + 6.0 * math.sqrt(expected) + 64))
+    arrived = departures = 0
+    area = busy = sojourn_total = last = 0.0
+    a, k = np.zeros(1), block
+    while arrival_rate > 0 and k == block:
+        a = a[-1] + np.cumsum(rng.exponential(1.0 / arrival_rate, block))
+        k = int(np.searchsorted(a, horizon_s, side="right"))
+        arrivals, services = a[:k], rng.exponential(1.0 / service_rate, k)
+        c = np.cumsum(services)
+        d = np.maximum.accumulate(arrivals - (c - services))
+        np.maximum(d, last, out=d)
+        d += c
+        j = int(np.searchsorted(d, horizon_s, side="right"))
+        sojourn = float((d[:j] - arrivals[:j]).sum())
+        area += sojourn + float((horizon_s - arrivals[j:]).sum())
+        busy += float(c[j - 1]) if j else 0.0
+        if j < len(d):
+            busy += max(horizon_s - float(d[j] - services[j]), 0.0)
+        last = float(d[-1]) if len(d) else last
+        arrived, departures = arrived + len(d), departures + j
+        sojourn_total += sojourn
+    return (area / horizon_s, sojourn_total / departures if departures else 0.0,
+            busy / horizon_s, arrived, departures, arrived / horizon_s)
+
+
+@pytest.mark.parametrize("lam, mu, horizon", [
+    (0.9, 1.0, 10.0), (0.9, 1.0, 2e4), (0.9, 1.0, 5e4), (0.9, 1.0, 2.2e5),  # 1 to 4 blocks
+    (42.8, 61.4, 2800.0),
+])
+def test_simulator_matches_its_former_body_bit_for_bit(lam, mu, horizon):
+    for seed in range(30):
+        got = dataclasses.astuple(simulate_mm1(lam, mu, horizon_s=horizon, seed=seed))
+        assert got == simulate_mm1_reference(lam, mu, horizon, seed), seed
+
+
 # --- the block kernel against the former event loop ---------------------------
 
 
@@ -268,12 +342,17 @@ def event_loop_reference(gaps, services, horizon_s):
     return arrivals, departures, area, busy, sojourn_total
 
 
-def run_blocks(arrivals, services, horizon_s, size):
-    """``_lindley_block`` over consecutive blocks of ``size`` customers."""
+def run_blocks(arrivals, services, horizon_s, size, scratch):
+    """``_lindley_block`` over consecutive blocks of ``size`` customers,
+    with scratch rows cut from a workspace of NaNs as the simulator cuts
+    them, or with none."""
     size = size or max(len(arrivals), 1)
+    work = np.full((3, size), np.nan) if scratch else None
     carry = (0, 0, 0.0, 0.0, 0.0, 0.0)
     for i in range(0, len(arrivals), size):
-        carry = _lindley_block(arrivals[i:i + size], services[i:i + size], horizon_s, carry)
+        a, s = arrivals[i:i + size], services[i:i + size]
+        rows = work[1:, :len(a)] if scratch else None
+        carry = _lindley_block(a, s, horizon_s, carry, rows)
     return carry[:5]
 
 
@@ -286,10 +365,11 @@ def assert_kernel_matches_loop(customers, horizon_s, exact):
     # cancellation in a departure time costs up to an ulp of the largest time
     scale = 1e-12 * k * (horizon_s + sum(services))
     for size in (None, 1, 2, 7):
-        got = run_blocks(arrivals[:k], np.array(services[:k]), horizon_s, size)
-        assert got[:2] == want[:2], size
-        for g, w in zip(got[2:], want[2:]):
-            assert g == (w if exact else pytest.approx(w, rel=1e-9, abs=scale)), size
+        for scratch in (False, True):
+            got = run_blocks(arrivals[:k], np.array(services[:k]), horizon_s, size, scratch)
+            assert got[:2] == want[:2], (size, scratch)
+            for g, w in zip(got[2:], want[2:]):
+                assert g == (w if exact else pytest.approx(w, rel=1e-9, abs=scale)), size
 
 
 ORACLE = settings(derandomize=True, deadline=None, max_examples=300)
