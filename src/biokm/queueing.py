@@ -184,19 +184,18 @@ def simulate_mm1(
     )
 
 
-def _lindley_block(arrivals, services, horizon_s: float, carry: tuple, scratch=None) -> tuple:
+def _lindley_block(arrivals, services, horizon_s: float, carry: tuple, scratch) -> tuple:
     """Add FIFO customers (sorted arrivals within the horizon, a service
     time each) to ``carry`` = (arrivals, departures, area, busy, sojourn,
     D_0), where D_0 is the latest departure: with C = cumsum(S), Lindley's
     D_i = max(A_i, D_{i-1}) + S_i is C_i + max(D_0, max_{k<=i} A_k - C_{k-1}).
-    ``scratch`` holds two rows of len(arrivals) that every step writes into
-    (allocated if None).
+    ``scratch`` holds two rows of len(arrivals) that every step writes into.
     """
     import numpy as np
 
     arrived, departures, area, busy, sojourn_total, last = carry
     n = len(arrivals)
-    c, d = np.empty((2, n)) if scratch is None else scratch
+    c, d = scratch
     np.cumsum(services, out=c)
     np.subtract(c, services, out=d)
     np.subtract(arrivals, d, out=d)

@@ -239,6 +239,12 @@ def write_markdown(path, result: PipelineResult) -> Path:
     return path
 
 
+def _csv_row(label: str, rates: RunMetrics, c: ComparisonReport) -> list[str]:
+    return [label, *(repr(pick(rates)) for _, pick in _RATE_HEADERS),
+            *map(repr, (c.bio_utilization, c.bio_idle, c.little_utilization, c.little_idle,
+                        c.util_diff_pct, c.idle_diff_pct))]
+
+
 def write_csv(path, result: PipelineResult) -> Path:
     import csv
 
@@ -261,34 +267,6 @@ def write_csv(path, result: PipelineResult) -> Path:
             ]
         )
         for run in result.runs:
-            writer.writerow(
-                [
-                    run.summary.label,
-                    repr(run.rates.arrival_rate),
-                    repr(run.rates.service_rate),
-                    repr(run.rates.throughput),
-                    repr(run.rates.capacity),
-                    repr(run.bio.utilization),
-                    repr(run.bio.idle),
-                    repr(run.little.rho),
-                    repr(run.little.idle),
-                    repr(run.comparison.util_diff_pct),
-                    repr(run.comparison.idle_diff_pct),
-                ]
-            )
-        writer.writerow(
-            [
-                "average",
-                repr(result.averaged.arrival_rate),
-                repr(result.averaged.service_rate),
-                repr(result.averaged.throughput),
-                repr(result.averaged.capacity),
-                repr(result.comparison.bio_utilization),
-                repr(result.comparison.bio_idle),
-                repr(result.comparison.little_utilization),
-                repr(result.comparison.little_idle),
-                repr(result.comparison.util_diff_pct),
-                repr(result.comparison.idle_diff_pct),
-            ]
-        )
+            writer.writerow(_csv_row(run.summary.label, run.rates, run.comparison))
+        writer.writerow(_csv_row("average", result.averaged, result.comparison))
     return path

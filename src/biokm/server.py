@@ -2,10 +2,12 @@
 
 The server owns a star topology: every chat message and file transfer
 passes through it.  One thread runs one ``selectors`` loop, which owns
-every socket: the listener and each connection.
+every socket (the listener and each connection) and every counter.
 Every frame crossing a logged-in session's socket is counted into that
 session's telemetry, and every event goes to a JSON Lines log with
 wall-clock and monotonic stamps (durations use the monotonic clock).
+It answers ``snapshot()`` and ``session_history()`` between two
+handlers, so no lock guards what they read.
 
 Sockets are non-blocking and each connection has an out-buffer.  The
 frames of one read are dispatched as a batch: each reply and relayed
@@ -38,13 +40,14 @@ from __future__ import annotations
 import errno
 import heapq
 import itertools
+import queue
 import selectors
 import socket
 import threading
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -86,12 +89,8 @@ class ServerConfig:
 @dataclass
 class SessionRecord:
     nick: str
-    connect_mono_ms: float
-    connect_epoch_ms: float
-    metrics: SessionMetrics
+    metrics: SessionMetrics  # its start and departure stamp the session's
     conn: _Conn | None = field(repr=False)  # None once departed
-    departure_mono_ms: float | None = None
-    departure_epoch_ms: float | None = None
 
 
 @dataclass(frozen=True)
@@ -173,11 +172,11 @@ class MessengerServer:
     def __init__(self, config: ServerConfig):
         self.config = config
         self._listener: _Conn | None = None
-        self._waker: socket.socket | None = None  # stop() closes it, which wakes the loop
+        self._waker: socket.socket | None = None  # a byte: answer _calls; EOF: stop
+        self._calls: deque = deque()  # (fn, reply queue) for the loop to run
         self._selector: selectors.BaseSelector | None = None
         self._thread: threading.Thread | None = None
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()  # for what snapshot() and session_history() read
+        self._stopping = False  # the loop's own: set once it reads the waker's EOF
         self._registry: dict[str, SessionRecord] = {}
         self._history: deque[SessionRecord] = deque(maxlen=HISTORY_MAX)
         self._logins = 0
@@ -205,13 +204,12 @@ class MessengerServer:
         self._selector = selectors.DefaultSelector()
         self._watch(self._listener, _READ)
         wake, self._waker = socket.socketpair()
-        self._watch(_Conn(wake, lambda conn, events: None), _READ)
+        self._watch(_Conn(wake, self._on_wake), _READ)
         self._thread = threading.Thread(target=self._serve, daemon=True, name="biokm-server")
         self._thread.start()
         return self
 
     def stop(self):
-        self._stopping.set()
         if self._waker is not None:
             self._waker.close()  # the loop's end of the pair turns readable
             self._waker = None
@@ -235,38 +233,62 @@ class MessengerServer:
         return (self.config.host, self.port)
 
     def snapshot(self) -> ServerSnapshot:
-        with self._lock:
-            return ServerSnapshot(
-                start_mono_ms=self.start_mono_ms,
-                logins=self._logins,
-                departures=self._departures,
-                sessions={nick: r.metrics.snapshot() for nick, r in self._registry.items()},
-            )
+        return self._call(lambda: ServerSnapshot(
+            start_mono_ms=self.start_mono_ms,
+            logins=self._logins,
+            departures=self._departures,
+            sessions={nick: r.metrics.snapshot() for nick, r in self._registry.items()},
+        ))
 
     def session_history(self) -> list[SessionRecord]:
         """Departed sessions, the last HISTORY_MAX of them, followed by live
-        ones, counters included."""
-        with self._lock:
-            return [*self._history, *self._registry.values()]
+        ones, each with a copy of its counters."""
+        return self._call(lambda: [replace(r, metrics=r.metrics.snapshot())
+                                   for r in (*self._history, *self._registry.values())])
+
+    def _call(self, fn):
+        """``fn()``, run by the loop between two handlers while it runs."""
+        waker = self._waker
+        if waker is None or threading.current_thread() is self._thread:
+            return fn()
+        reply = queue.SimpleQueue()
+        self._calls.append((fn, reply))
+        try:
+            waker.send(b"\0")
+        except OSError:  # stop() closed the waker: run fn once the loop is gone
+            self._thread.join()
+            return fn()
+        return reply.get()
+
+    def _answer(self):
+        while self._calls:
+            fn, reply = self._calls.popleft()
+            reply.put(fn())
 
     # --- the loop ------------------------------------------------------------
 
     def _serve(self):
         selector = self._selector
         try:
-            while not self._stopping.is_set():
+            while not self._stopping:
                 for key, events in selector.select(self._expire()):
                     conn = key.data
                     if conn.events:  # not closed or set aside earlier in this pass
                         conn.on_ready(conn, events)
                 self._log.flush()
         finally:  # stop(): what was cut short is logged, then every socket closes
-            self._stopping.set()  # so no _close below watches the listener again
+            self._stopping = True  # so no _close below watches the listener again
             self._drop(lambda t: True, "server stopped")
             for key in list(selector.get_map().values()):
                 self._close(key.data)
             self._listener.sock.close()  # unwatched, if it was out of descriptors
             selector.close()
+            self._answer()
+
+    def _on_wake(self, wake: _Conn, events: int):
+        if not wake.sock.recv(4096):  # stop() closed the other end
+            self._stopping = True
+        self._answer()
 
     def _watch(self, conn: _Conn, events: int):
         """Register ``conn`` for ``events``; none takes it out of the loop."""
@@ -283,7 +305,7 @@ class MessengerServer:
             self._unregister(conn.session, kind)
         self._watch(conn, 0)
         conn.sock.close()
-        if not self._listener.events and not self._stopping.is_set():
+        if not self._listener.events and not self._stopping:
             self._watch(self._listener, _READ)  # a descriptor is free again; see _accept
 
     def _arm(self, item) -> list:
@@ -445,36 +467,31 @@ class MessengerServer:
             self._send(conn, Frame(Command.ERR, (refusal,)))
             self._log.write("login_rejected", nick=nick)
             return
-        record = SessionRecord(nick, now_mono_ms(), now_epoch_ms(),
-                               SessionMetrics(start_mono_ms=now_mono_ms()), conn)
+        record = SessionRecord(nick, SessionMetrics(start_mono_ms=now_mono_ms()), conn)
         record.metrics.count_received(consumed)  # the LOGIN frame itself
-        with self._lock:
-            self._registry[nick] = record
-            self._logins += 1
+        self._registry[nick] = record
+        self._logins += 1
         conn.session = record
         self._send(conn, Frame(Command.OK))
         self._log.write("login", nick=nick)
 
     def _unregister(self, session: SessionRecord, kind: str, detail: str = ""):
-        # logged and flushed under the lock: once a snapshot or the history
+        # logged and flushed in this handler: once a snapshot or the history
         # shows the departure, the log on disk holds it
-        with self._lock:
-            if self._registry.get(session.nick) is not session:
-                return
-            del self._registry[session.nick]
-            self._history.append(session)
-            self._departures += 1
-            session.conn = None
-            session.departure_mono_ms = now_mono_ms()
-            session.departure_epoch_ms = now_epoch_ms()
-            session.metrics.departure_mono_ms = session.departure_mono_ms
-            self._drop(  # its offers, and the transfers still waiting for its end
-                lambda t: (t.sender is session and SENDER not in t.ends)
-                or (t.recipient is session and RECIPIENT not in t.ends),
-                f"{session.nick} departed",
-            )
-            self._log.write(kind, nick=session.nick, detail=detail)
-            self._log.flush()
+        if self._registry.get(session.nick) is not session:
+            return
+        del self._registry[session.nick]
+        self._history.append(session)
+        self._departures += 1
+        session.conn = None
+        session.metrics.departure_mono_ms = now_mono_ms()
+        self._drop(  # its offers, and the transfers still waiting for its end
+            lambda t: (t.sender is session and SENDER not in t.ends)
+            or (t.recipient is session and RECIPIENT not in t.ends),
+            f"{session.nick} departed",
+        )
+        self._log.write(kind, nick=session.nick, detail=detail)
+        self._log.flush()
 
     # --- data channel ------------------------------------------------------
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -46,9 +45,9 @@ class CaptureFormatError(ValueError):
 class SessionMetrics:
     """Per-connection counters kept at the socket boundary.
 
-    Updates take a lock.  The server and the load generator each count
-    from one thread, but ``MessengerServer.snapshot()`` reads the server's
-    counters from another.
+    One thread counts into and reads each instance, the server's loop or
+    the load generator's, so no lock guards it; other threads see copies
+    that ``snapshot()`` took on that thread.
     """
 
     packets_sent: int = 0
@@ -57,19 +56,14 @@ class SessionMetrics:
     bytes_received: int = 0
     start_mono_ms: float = 0.0
     departure_mono_ms: float | None = None
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def count_sent(self, nbytes: int) -> None:
-        with self._lock:
-            self.packets_sent += 1
-            self.bytes_sent += nbytes
+        self.packets_sent += 1
+        self.bytes_sent += nbytes
 
     def count_received(self, nbytes: int) -> None:
-        with self._lock:
-            self.packets_received += 1
-            self.bytes_received += nbytes
+        self.packets_received += 1
+        self.bytes_received += nbytes
 
     @property
     def service_time_ms(self) -> float:
@@ -78,15 +72,7 @@ class SessionMetrics:
         return self.departure_mono_ms - self.start_mono_ms
 
     def snapshot(self) -> "SessionMetrics":
-        with self._lock:
-            return SessionMetrics(
-                packets_sent=self.packets_sent,
-                packets_received=self.packets_received,
-                bytes_sent=self.bytes_sent,
-                bytes_received=self.bytes_received,
-                start_mono_ms=self.start_mono_ms,
-                departure_mono_ms=self.departure_mono_ms,
-            )
+        return replace(self)
 
 
 def throughput_bps(payload_bytes: float, elapsed_ms: float) -> float:

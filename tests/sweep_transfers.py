@@ -61,7 +61,7 @@ def check_one(spec: ScenarioSpec) -> str | None:
     got = {kind: kinds.count(kind) for kind in want}
     if got != want:
         return f"events {got}, expected {want}"
-    departed = sorted(r.nick for r in history if r.departure_mono_ms is not None)
+    departed = sorted(r.nick for r in history if r.metrics.departure_mono_ms is not None)
     if departed != sorted(generate_schedule(spec).nicks):
         return f"departures {departed} in the history"
     if threads_after != threads:

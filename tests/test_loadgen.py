@@ -427,7 +427,7 @@ def test_bookkeeping_complete_when_run_returns(server, tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(r.nick for r in history) == nicks
-    assert all(r.departure_mono_ms is not None for r in history)
+    assert all(r.metrics.departure_mono_ms is not None for r in history)
     assert sorted(e["nick"] for e in events if e["kind"] == "quit") == nicks
     # three pairs both ways and c7 to itself, three files per direction
     complete = [e for e in events if e["kind"] == "transfer_complete"]
@@ -472,7 +472,7 @@ def test_completion_waits_cover_slow_server_bookkeeping(tmp_path, monkeypatch):
         run_scenario(spec, server.address, tmp_path / "cap.jsonl")
         history = server.session_history()
         kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
-        assert [r.departure_mono_ms is not None for r in history] == [True, True]
+        assert [r.metrics.departure_mono_ms is not None for r in history] == [True, True]
         assert kinds.count("quit") == 2
         assert kinds.count("transfer_complete") == 2
 

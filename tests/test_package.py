@@ -35,6 +35,13 @@ def test_relay_and_analysis_modules_import_without_numpy():
     assert "biokm.phylo" not in loaded and "biokm.route_filter" not in loaded
 
 
+def test_no_module_takes_a_lock():
+    # one thread owns each counter: the server's loop or the load generator's
+    primitive = re.compile(r"threading\.(Lock|RLock|Event|Condition|Semaphore)\b")
+    for module in sorted((SRC / "biokm").glob("*.py")):
+        assert not primitive.findall(module.read_text(encoding="utf-8")), module.name
+
+
 def test_import_biokm_imports_no_submodule():
     assert not {m for m in modules_after("import biokm") if m.startswith("biokm.")}
 

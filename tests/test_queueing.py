@@ -342,17 +342,16 @@ def event_loop_reference(gaps, services, horizon_s):
     return arrivals, departures, area, busy, sojourn_total
 
 
-def run_blocks(arrivals, services, horizon_s, size, scratch):
+def run_blocks(arrivals, services, horizon_s, size):
     """``_lindley_block`` over consecutive blocks of ``size`` customers,
     with scratch rows cut from a workspace of NaNs as the simulator cuts
-    them, or with none."""
+    them."""
     size = size or max(len(arrivals), 1)
-    work = np.full((3, size), np.nan) if scratch else None
+    work = np.full((3, size), np.nan)
     carry = (0, 0, 0.0, 0.0, 0.0, 0.0)
     for i in range(0, len(arrivals), size):
         a, s = arrivals[i:i + size], services[i:i + size]
-        rows = work[1:, :len(a)] if scratch else None
-        carry = _lindley_block(a, s, horizon_s, carry, rows)
+        carry = _lindley_block(a, s, horizon_s, carry, work[1:, :len(a)])
     return carry[:5]
 
 
@@ -365,11 +364,10 @@ def assert_kernel_matches_loop(customers, horizon_s, exact):
     # cancellation in a departure time costs up to an ulp of the largest time
     scale = 1e-12 * k * (horizon_s + sum(services))
     for size in (None, 1, 2, 7):
-        for scratch in (False, True):
-            got = run_blocks(arrivals[:k], np.array(services[:k]), horizon_s, size, scratch)
-            assert got[:2] == want[:2], (size, scratch)
-            for g, w in zip(got[2:], want[2:]):
-                assert g == (w if exact else pytest.approx(w, rel=1e-9, abs=scale)), size
+        got = run_blocks(arrivals[:k], np.array(services[:k]), horizon_s, size)
+        assert got[:2] == want[:2], size
+        for g, w in zip(got[2:], want[2:]):
+            assert g == (w if exact else pytest.approx(w, rel=1e-9, abs=scale)), size
 
 
 ORACLE = settings(derandomize=True, deadline=None, max_examples=300)

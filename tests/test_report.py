@@ -171,6 +171,46 @@ def test_report_files_are_deterministic(tmp_path):
     assert "0.695720367" in text.replace(" ", "")
 
 
+CSV_HEADER = ("run,arrival_rate,service_rate,throughput_bps,capacity_bps,aggregate_response,"
+              "aggregate_idle,little_utilization,little_idle,util_diff_pct,idle_diff_pct")
+
+# write_csv's rows for the reference captures, every float as repr gives it
+REFERENCE_CSV_ROWS = {
+    Mode.EXACT: (
+        "ircd,57.76858542175903,87.98821732489635,420.31749442638807,640.192013964652,"
+        "0.6565491059836865,0.34345089401631346,0.6565491059836867,0.34345089401631335,"
+        "1.6909976946229248e-14,3.232552437532518e-14",
+        "ftp,26.7043999553504,36.33780668679974,191.8882184153332,261.11041618269866,"
+        "0.7348930051150055,0.26510699488499445,0.7348930051150054,0.26510699488499456,"
+        "1.5107274350113247e-14,4.187829993345818e-14",
+        "mixed,43.8871473354232,60.127612761276126,319.33809548281,437.5093509350935,"
+        "0.7299000462510921,0.27009995374890794,0.7299000462510922,0.27009995374890783,"
+        "1.5210617266398007e-14,4.1104154562619775e-14",
+        "average,42.78671090417754,61.48454559099074,310.51460277484375,446.2705936941481,"
+        "0.6957989326710045,0.30420106732899554,0.6958937484681846,0.30410625153181536,"
+        "0.01362503936684178,0.03116879175102865",
+    ),
+    Mode.TABLE_PRECISION: (
+        "ircd,57.8,87.9,420.3,640.2,0.6565135895032802,0.3434864104967198,"
+        "0.6575654152445961,0.3424345847554039,0.15995758245963312,0.3062204818510421",
+        "ftp,26.7,36.3,191.9,261.1,0.7349674454232095,0.26503255457679054,"
+        "0.7355371900826446,0.2644628099173554,0.0774596671816336,0.2149715759805192",
+        "mixed,43.9,60.1,319.3,437.5,0.7298285714285715,0.2701714285714285,"
+        "0.73044925124792,0.26955074875207996,0.08497233973313813,0.22973555073180127",
+        "average,42.8,61.4,310.5,446.3,0.6957203674658301,0.3042796325341699,"
+        "0.6970684039087948,0.30293159609120524,0.19338653644399587,0.44302552613779717",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_csv_bytes_are_pinned(tmp_path, mode):
+    out = tmp_path / "report.csv"
+    full_pipeline(reference_captures(tmp_path), mode=mode, out_csv=out)
+    want = "".join(f"{row}\r\n" for row in (CSV_HEADER, *REFERENCE_CSV_ROWS[mode]))
+    assert out.read_bytes() == want.encode("utf-8")
+
+
 def test_analyze_then_pipeline_consistency(tmp_path):
     paths = reference_captures(tmp_path)
     summaries = [analyze_capture(p) for p in paths]

@@ -65,7 +65,7 @@ def test_every_scheduled_file_completes_once(spec):
 
     nicks = generate_schedule(spec).nicks
     assert sorted(r.nick for r in history) == sorted(nicks)
-    assert all(r.departure_mono_ms is not None for r in history)
+    assert all(r.metrics.departure_mono_ms is not None for r in history)
     complete = [e for e in events if e["kind"] == "transfer_complete"]
     assert all(e["bytes"] == spec.file_size for e in complete)
     # the file name is the last token of the detail, whatever precedes it

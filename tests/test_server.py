@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -884,6 +885,79 @@ def test_history_is_bounded_and_departures_exact(tmp_path, monkeypatch):
     assert (snap.logins, snap.departures) == (21, 20)
 
 
+def test_snapshots_from_another_thread_are_whole(server):
+    """A reader thread asks for snapshots and the history, on until after
+    stop(), while 50 sessions come and go and one session relays to
+    another: every counter set it gets is one the loop left between two
+    handlers, and no call raises or hangs."""
+    payload = b"x" * 100
+    msg = encode_frame(Frame(Command.MSG, ("recipient", str(len(payload)))), payload)
+    login = len(encode_frame(Frame(Command.LOGIN, ("sender",))))
+    sender, recipient = RawClient(server.address), RawClient(server.address)
+    assert sender.login("sender").command is recipient.login("recipient").command is Command.OK
+    done, seen, errors = threading.Event(), [], []
+
+    def whole(m: SessionMetrics) -> bool:
+        return m.bytes_received == login + (m.packets_received - 1) * len(msg)
+
+    def read():
+        try:
+            while not done.is_set():
+                snap = server.snapshot()
+                history = server.session_history()
+                mine = [r.metrics for r in history if r.nick == "sender"]
+                if "sender" in snap.sessions:
+                    mine.append(snap.sessions["sender"])
+                assert mine and all(whole(m) for m in mine), mine
+                assert snap.logins - snap.departures == snap.live_count
+                seen.append(snap.logins)
+        except Exception as exc:  # handed to the main thread's asserts
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        for i in range(50):
+            client = RawClient(server.address)
+            assert client.login(f"c{i}").command is Command.OK
+            sender.sock.sendall(msg * 20)
+            client.send(Frame(Command.QUIT))
+            assert client.sock.recv(65536) == b""
+            client.close()
+        assert wait_until(lambda: server.snapshot().sessions["sender"].packets_received == 1001)
+        server.stop()
+    finally:
+        done.set()
+        reader.join(10.0)
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert errors == []
+    assert seen and seen[-1] == 52
+    sender.close(), recipient.close()
+
+
+def test_snapshot_and_history_before_start_and_after_stop(tmp_path):
+    server = server_module.MessengerServer(ServerConfig(log_path=tmp_path / "events.jsonl"))
+    snap = server.snapshot()
+    assert (snap.logins, snap.departures, snap.sessions) == (0, 0, {})
+    assert server.session_history() == []
+    server.start()
+    a = RawClient(server.address)
+    assert a.login("alice").command is Command.OK
+    a.send(Frame(Command.MSG, ("alice", "3")), b"hey")
+    assert a.read_frame().frame.command is Command.MSG
+    server.stop()  # alice is still logged in: the session leaves as the loop ends
+    snap = server.snapshot()
+    assert (snap.logins, snap.departures, snap.sessions) == (1, 1, {})
+    [record] = server.session_history()
+    assert record.nick == "alice" and record.conn is None
+    assert (record.metrics.packets_received, record.metrics.packets_sent) == (2, 2)
+    assert record.metrics.departure_mono_ms is not None
+    a.close()
+
+
 def test_long_names_are_bounded_so_relayed_lines_decode(server):
     # the longest lines the server relays carry a MAX_NAME-byte nick
     nick, name = "a" * MAX_NAME, "f" * MAX_NAME
@@ -937,11 +1011,12 @@ def test_registry_consistency_and_monotonic_timing(server):
     snap = server.snapshot()
     assert snap.logins == 4 and snap.departures == 2
     now = time.monotonic() * 1000.0
-    departed = [r for r in server.session_history() if r.departure_mono_ms is not None]
+    departed = [r.metrics for r in server.session_history()
+                if r.metrics.departure_mono_ms is not None]
     assert len(departed) == 2
-    for record in departed:
-        assert server.start_mono_ms <= record.connect_mono_ms
-        assert record.connect_mono_ms <= record.departure_mono_ms <= now
+    for metrics in departed:
+        assert server.start_mono_ms <= metrics.start_mono_ms
+        assert metrics.start_mono_ms <= metrics.departure_mono_ms <= now
     for c in clients:
         c.close()
 

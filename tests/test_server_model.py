@@ -144,7 +144,8 @@ class WriteSpy:
         def write(sock, data, *args):
             result = original(sock, data, *args)
             try:
-                peer = sock.getpeername() if sock.getsockname()[1] == self.port else None
+                peer = (sock.getpeername() if sock.family == socket.AF_INET
+                        and sock.getsockname()[1] == self.port else None)
             except OSError:
                 peer = None
             if peer in self.written:
@@ -472,7 +473,7 @@ class ServerMachine(RuleBasedStateMachine):
         assert [(r.nick, counters(r.metrics)) for r in history] == [
             (s.nick, counters(s)) for s in [*self.departed, *self.live.values()]
         ]
-        assert [r.departure_mono_ms is not None for r in history] == (
+        assert [r.metrics.departure_mono_ms is not None for r in history] == (
             [True] * len(self.departed) + [False] * len(self.live)
         )
 

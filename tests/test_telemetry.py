@@ -127,22 +127,6 @@ def test_dimensional_scaling():
     assert throughput_bps(1000, 4000) == pytest.approx(base / 2, rel=1e-12)
 
 
-def test_counters_are_race_free_under_concurrent_increments():
-    import threading
-
-    m = SessionMetrics()
-    workers = [
-        threading.Thread(target=lambda: [m.count_sent(3) for _ in range(5000)])
-        for _ in range(8)
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    assert m.packets_sent == 8 * 5000
-    assert m.bytes_sent == 8 * 5000 * 3
-
-
 def test_analyze_falls_back_to_run_end_for_open_sessions(tmp_path):
     path = tmp_path / "open.jsonl"
     write_capture(
