@@ -89,7 +89,7 @@ class ServerConfig:
 @dataclass
 class SessionRecord:
     nick: str
-    metrics: SessionMetrics  # its start and departure stamp the session's
+    metrics: SessionMetrics  # its start_mono_ms and departure_mono_ms stamp the session
     conn: _Conn | None = field(repr=False)  # None once departed
 
 
